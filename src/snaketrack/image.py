@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.ndimage import correlate1d
 
-from . import netpbm
 from .errors import SizeError
 
 GRADIENT_MAGNITUDE = "gradient_magnitude"
@@ -138,11 +137,6 @@ class SmoothingParams:
             raise ValueError("lam must be > 0")
 
 
-def load_frame(path) -> Image:
-    """Read a PGM/PPM file into a normalized grayscale Image."""
-    return Image(netpbm.read(path))
-
-
 def gaussian_kernel(sigma: float) -> np.ndarray:
     """Normalized 1-d Gaussian taps over radius ceil(3*sigma)."""
     radius = math.ceil(3.0 * sigma)
@@ -198,8 +192,9 @@ def box_sum_grid(padded: np.ndarray, width: int, height: int, x0, y0, x1, y1):
     Rectangles are clamped to the image; a rectangle that is empty after
     clamping contributes 0. `padded` is IntegralImage.padded.
 
-    `box_sum` is the scalar case: same clamping rule, same four terms in
-    the same order, so both give bitwise-equal results.
+    `box_sum` is the scalar case and `box_sum_slices` the dense-grid case:
+    same clamping rule, same four terms in the same order, so all three give
+    bitwise-equal results.
     """
     x0c = np.maximum(x0, 0)
     y0c = np.maximum(y0, 0)
@@ -213,6 +208,53 @@ def box_sum_grid(padded: np.ndarray, width: int, height: int, x0, y0, x1, y1):
     total = (padded[y1i, x1i] - padded[y0i, x1i]
              - padded[y1i, x0i] + padded[y0i, x0i])
     return np.where(valid, total, 0.0)
+
+
+def edge_extended(ii: IntegralImage, pad: int) -> np.ndarray:
+    """`ii.padded` with `pad` edge-replicated rows and columns on every side.
+
+    Entry [pad + v, pad + u] holds padded[clip(v, 0, h), clip(u, 0, w)]. For
+    any box that is non-empty after clamping, both of box_sum_grid's corner
+    indices are exactly such clipped values, so the table turns its clamped
+    reads into plain shifted reads (see `box_sum_slices`).
+    """
+    return np.pad(ii.padded, pad, mode="edge")
+
+
+def box_sum_slices(ext: np.ndarray, pad: int, width: int, height: int, step: int,
+                   dx0: int, dy0: int, dx1: int, dy1: int) -> np.ndarray:
+    """box_sum_grid over the dense sample grid, from four strided slices.
+
+    Samples are X = arange(0, width, step) by Y = arange(0, height, step);
+    the box at sample (x, y) is [x + dx0, x + dx1] x [y + dy0, y + dy1],
+    clamped to the image. `ext` is `edge_extended(ii, pad)`; the corner
+    offsets dx0, dy0, dx1 + 1 and dy1 + 1 must lie in [-pad, pad + 1]. The
+    result has shape (len(Y), len(X)) and equals box_sum_grid on the same
+    boxes bitwise: same table values, same four terms in the same order,
+    and exactly 0.0 where a box is empty after clamping.
+    """
+    corners = (dx0, dy0, dx1 + 1, dy1 + 1)
+    if min(corners) < -pad or max(corners) > pad + 1:
+        raise ValueError(f"box offsets exceed the table padding {pad}")
+    xs = np.arange(0, width, step)
+    ys = np.arange(0, height, step)
+    span_y = step * (len(ys) - 1) + 1
+    span_x = step * (len(xs) - 1) + 1
+
+    def corner(v, u):
+        r, c = pad + v, pad + u
+        return ext[r:r + span_y:step, c:c + span_x:step]
+
+    total = (corner(dy1 + 1, dx1 + 1) - corner(dy0, dx1 + 1)
+             - corner(dy1 + 1, dx0) + corner(dy0, dx0))
+    valid_x = np.maximum(xs + dx0, 0) <= np.minimum(xs + dx1, width - 1)
+    valid_y = np.maximum(ys + dy0, 0) <= np.minimum(ys + dy1, height - 1)
+    # the four terms of an empty box need not cancel exactly in floating
+    # point, so empty boxes are set to 0.0 explicitly; a box is empty iff
+    # its row or its column is
+    total[~valid_y, :] = 0.0
+    total[:, ~valid_x] = 0.0
+    return total
 
 
 def box_sum(ii: IntegralImage, x0: int, y0: int, x1: int, y1: int) -> float:

@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ExtremitySelectionError
-from .image import IntegralImage, box_sum_grid
+from .image import IntegralImage, box_sum_grid, box_sum_slices, edge_extended
 
 BASE_SCALE = 1.2            # scale of the 9x9 base filter
 BASE_FILTER = 9
@@ -93,16 +93,19 @@ def _layer_sizes(octave: int) -> list[int]:
     return [3 + gap + k * gap for k in range(LAYERS_PER_OCTAVE)]
 
 
-def _hessian_layer(padded, width, height, size, xs, ys):
-    """Determinant and trace responses of one filter size over a sample grid."""
+def _hessian_layer(ext, pad, width, height, size, step):
+    """Determinant and trace responses of one filter size over the dense grid.
+
+    The grid is arange(0, width, step) x arange(0, height, step); `ext` is
+    the edge-extended table from `edge_extended` with `pad` >= (size - 1) // 2.
+    """
     lobe = size // 3
     border = (size - 1) // 2
     half = lobe // 2
-    X, Y = np.meshgrid(xs, ys)
     inv_area = 1.0 / float(size * size)
 
     def boxes(dx0, dy0, dx1, dy1):
-        return box_sum_grid(padded, width, height, X + dx0, Y + dy0, X + dx1, Y + dy1)
+        return box_sum_slices(ext, pad, width, height, step, dx0, dy0, dx1, dy1)
 
     # bright-center convention: 3 * middle lobe - whole filter footprint
     whole_x = boxes(-border, -(lobe - 1), border, lobe - 1)
@@ -119,6 +122,23 @@ def _hessian_layer(padded, width, height, size, xs, ys):
 
     det = dxx * dyy - (DXY_WEIGHT * DXY_WEIGHT) * dxy * dxy
     return det, dxx + dyy
+
+
+def _octave_steps(width: int, height: int, params: DetectorParams) -> list[tuple[int, int]]:
+    """(octave, sampling stride) of every octave that runs, in order.
+
+    An octave runs when its smallest filter fits in the image and its grid
+    has at least 3 samples per axis; the first octave that fails ends the
+    scale space.
+    """
+    runs = []
+    for octave in range(1, params.octaves + 1):
+        step = params.init_step * 2 ** (octave - 1)
+        if (_layer_sizes(octave)[0] > min(width, height)
+                or len(range(0, width, step)) < 3 or len(range(0, height, step)) < 3):
+            break
+        runs.append((octave, step))
+    return runs
 
 
 def _refine(cube: np.ndarray) -> np.ndarray | None:
@@ -155,19 +175,22 @@ def detect_keypoints(ii: IntegralImage, params: DetectorParams) -> list[KeyPoint
     sorted by descending response, ties by (y, x) ascending.
     """
     w, h = ii.width, ii.height
-    padded = ii.padded
+    runs = _octave_steps(w, h, params)
+    if not runs:
+        return []
+    # pad for the largest filter that runs, not for params.octaves
+    pad = (_layer_sizes(runs[-1][0])[-1] - 1) // 2
+    ext = edge_extended(ii, pad)
     found: list[KeyPoint] = []
-    for octave in range(1, params.octaves + 1):
+    layers: list = []
+    for octave, step in runs:
         sizes = _layer_sizes(octave)
-        if sizes[0] > min(w, h):
-            break
-        step = params.init_step * 2 ** (octave - 1)
-        xs = np.arange(0, w, step)
-        ys = np.arange(0, h, step)
-        if len(xs) < 3 or len(ys) < 3:
-            break
         gap = 6 * 2 ** (octave - 1)
-        layers = [_hessian_layer(padded, w, h, size, xs, ys) for size in sizes]
+        # this octave's first two sizes are the previous octave's 2nd and
+        # 4th, and its grid is the previous grid at [::2, ::2]
+        reused = [(det[::2, ::2], tr[::2, ::2]) for det, tr in layers[1::2]]
+        layers = reused + [_hessian_layer(ext, pad, w, h, size, step)
+                           for size in sizes[len(reused):]]
         resp = np.stack([det for det, _ in layers])
         ny, nx = resp.shape[1:]
         for mid in (1, 2):

@@ -17,8 +17,9 @@ import numpy as np
 from .errors import TrackingLostError
 from .image import Image, IntegralImage, integral_image
 from .snake import SegmentationResult, SnakeParams, resume_segmentation, run_segmentation
-from .surf import (DetectorParams, KeyPoint, copy_keypoint, describe_keypoints,
-                   detect_keypoints, match_descriptors, select_extremity_points)
+from .surf import (LONE_MATCH_LIMIT, DetectorParams, KeyPoint, copy_keypoint,
+                   describe_keypoints, detect_keypoints, match_descriptors,
+                   select_extremity_points)
 
 SEARCH_RADIUS = 30.0
 
@@ -82,7 +83,7 @@ def propagate_points(state: TrackState, frame: Image,
                 second, second_d = cand, d
         if best is None:
             continue
-        ok = (best_d < 0.5 if second is None
+        ok = (best_d < LONE_MATCH_LIMIT if second is None
               else second_d > 0.0 and best_d / second_d < detector.ratio)
         if ok:
             matched_to[idx] = best

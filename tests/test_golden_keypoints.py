@@ -1,0 +1,68 @@
+"""Detector output pinned bit for bit to a checked-in golden file.
+
+`golden_keypoints.json` holds, per scene, every keypoint's
+(x, y, scale, response, laplacian_sign) as JSON numbers, which round-trip
+Python floats exactly. Regenerate it only for a stated change of detector
+behaviour:
+
+    PYTHONPATH=src python tests/test_golden_keypoints.py
+"""
+
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from snaketrack import synth
+from snaketrack.image import Image, integral_image
+from snaketrack.surf import DetectorParams, detect_keypoints
+
+GOLDEN = Path(__file__).with_name("golden_keypoints.json")
+
+
+def _square96():
+    # the acceptance tracking scene (criterion 6) at the tracker's octaves
+    return Image(pixels=synth.square_image(96, 96)), DetectorParams(octaves=4)
+
+
+def _blobs192():
+    # criterion 5's blob field, unshifted, at its threshold
+    size = 192
+    ys, xs = np.mgrid[0:size, 0:size].astype(np.float64)
+    rng = np.random.RandomState(7)
+    img = np.zeros((size, size))
+    for _ in range(24):
+        cx, cy = rng.uniform(40, 152, 2)
+        sg = rng.uniform(2, 5)
+        amp = rng.uniform(0.4, 1.0)
+        img += amp * np.exp(-((xs - cx) ** 2 + (ys - cy) ** 2) / (2 * sg * sg))
+    return Image(pixels=np.clip(img, 0.0, 1.0)), DetectorParams(hessian_threshold=0.002)
+
+
+def _noise77x50():
+    # non-square, smaller than octave 3's largest filter (99), stride 2
+    pixels = np.random.RandomState(2013).uniform(0.0, 1.0, (50, 77))
+    return Image(pixels=pixels), DetectorParams(init_step=2)
+
+
+SCENES = {"square96": _square96, "blobs192": _blobs192, "noise77x50": _noise77x50}
+
+
+def dump(name):
+    img, params = SCENES[name]()
+    kps = detect_keypoints(integral_image(img), params)
+    return [[kp.x, kp.y, kp.scale, kp.response, kp.laplacian_sign] for kp in kps]
+
+
+@pytest.mark.parametrize("name", sorted(SCENES))
+def test_keypoints_equal_golden_bitwise(name):
+    golden = json.loads(GOLDEN.read_text())[name]
+    got = dump(name)
+    assert len(got) == len(golden)
+    assert got == golden
+
+
+if __name__ == "__main__":
+    GOLDEN.write_text(json.dumps({name: dump(name) for name in sorted(SCENES)},
+                                 indent=1) + "\n")

@@ -12,6 +12,8 @@ from snaketrack.image import (
     SmoothingParams,
     box_sum,
     box_sum_grid,
+    box_sum_slices,
+    edge_extended,
     external_energy_map,
     gaussian_kernel,
     gaussian_smooth,
@@ -119,6 +121,45 @@ def test_box_sum_equals_grid_case_bitwise():
             grid = box_sum_grid(ii.padded, w, h, x0, y0, x1, y1)
             assert type(got) is float
             assert got == float(grid)
+
+
+def test_box_sum_slices_equals_grid_bitwise():
+    # the dense path reads an edge-extended table by shifted slices; pin it
+    # to the gather path exactly, including boxes clamped to nothing
+    rng = np.random.RandomState(11)
+    pad = 12
+    for w, h in ((13, 7), (6, 19), (25, 25)):
+        ii = integral_image(Image(pixels=rng.random_sample((h, w))))
+        ext = edge_extended(ii, pad)
+        assert ext.shape == (h + 1 + 2 * pad, w + 1 + 2 * pad)
+        for step in (1, 2, 4):
+            X, Y = np.meshgrid(np.arange(0, w, step), np.arange(0, h, step))
+            for _ in range(60):
+                dx0, dx1 = sorted(int(v) for v in rng.randint(-pad, pad + 1, 2))
+                dy0, dy1 = sorted(int(v) for v in rng.randint(-pad, pad + 1, 2))
+                got = box_sum_slices(ext, pad, w, h, step, dx0, dy0, dx1, dy1)
+                want = box_sum_grid(ii.padded, w, h, X + dx0, Y + dy0, X + dx1, Y + dy1)
+                assert np.array_equal(got, want)
+
+
+def test_box_sum_slices_outside_boxes_are_exact_zero():
+    # large table values, so the four terms of an empty box would not cancel
+    ii = integral_image(Image(pixels=np.full((9, 11), 0.7)))
+    ext = edge_extended(ii, 8)
+    right = box_sum_slices(ext, 8, 11, 9, 1, 3, -2, 8, 2)   # x + 3 .. x + 8
+    assert np.array_equal(right[:, 8:], np.zeros((9, 3)))
+    assert not np.signbit(right).any()
+    below = box_sum_slices(ext, 8, 11, 9, 2, -1, 5, 1, 7)   # y + 5 .. y + 7
+    assert np.array_equal(below[2:, :], np.zeros((3, 6)))
+
+
+def test_box_sum_slices_rejects_offsets_beyond_pad():
+    ii = integral_image(Image(pixels=np.ones((5, 5))))
+    ext = edge_extended(ii, 3)
+    box_sum_slices(ext, 3, 5, 5, 1, -3, -3, 3, 3)
+    for offsets in ((-4, 0, 0, 0), (0, -4, 0, 0), (0, 0, 4, 0), (0, 0, 0, 4)):
+        with pytest.raises(ValueError):
+            box_sum_slices(ext, 3, 5, 5, 1, *offsets)
 
 
 def test_gaussian_kernel_properties():

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from snaketrack import surf, synth
 from snaketrack.errors import ExtremitySelectionError
-from snaketrack.image import Image, integral_image
+from snaketrack.image import Image, box_sum_grid, edge_extended, integral_image
 from snaketrack.surf import (
     DetectorParams,
     KeyPoint,
@@ -107,6 +108,82 @@ def test_detection_is_deterministic():
     b = detect_keypoints(integral_image(img), DetectorParams())
     assert [(k.x, k.y, k.scale, k.response, k.laplacian_sign) for k in a] == \
            [(k.x, k.y, k.scale, k.response, k.laplacian_sign) for k in b]
+
+
+def gather_layer(ii, size, step):
+    """Reference Hessian layer: every box gathered through box_sum_grid."""
+    w, h = ii.width, ii.height
+    X, Y = np.meshgrid(np.arange(0, w, step), np.arange(0, h, step))
+    lobe, border, inv_area = size // 3, (size - 1) // 2, 1.0 / float(size * size)
+    half = lobe // 2
+
+    def boxes(dx0, dy0, dx1, dy1):
+        return box_sum_grid(ii.padded, w, h, X + dx0, Y + dy0, X + dx1, Y + dy1)
+
+    dxx = (3.0 * boxes(-half, -(lobe - 1), -half + lobe - 1, lobe - 1)
+           - boxes(-border, -(lobe - 1), border, lobe - 1)) * inv_area
+    dyy = (3.0 * boxes(-(lobe - 1), -half, lobe - 1, -half + lobe - 1)
+           - boxes(-(lobe - 1), -border, lobe - 1, border)) * inv_area
+    dxy = (boxes(-lobe, -lobe, -1, -1) + boxes(1, 1, lobe, lobe)
+           - boxes(1, -lobe, lobe, -1) - boxes(-lobe, 1, -1, lobe)) * inv_area
+    return dxx * dyy - (surf.DXY_WEIGHT * surf.DXY_WEIGHT) * dxy * dxy, dxx + dyy
+
+
+# non-square and smaller than octave 4's largest filter (195), so every
+# filter size from some octave on overhangs the image on all sides
+ENGINE_SHAPES = ((50, 77), (61, 34))
+
+
+@pytest.mark.parametrize("shape", ENGINE_SHAPES)
+def test_dense_layers_equal_gather_bitwise(shape):
+    ii = integral_image(Image(pixels=np.random.RandomState(3).random_sample(shape)))
+    sizes = sorted({size for octave in range(1, 5) for size in surf._layer_sizes(octave)})
+    pad = (sizes[-1] - 1) // 2
+    ext = edge_extended(ii, pad)
+    for size in sizes:
+        for step in (1, 2, 4):
+            det, trace = surf._hessian_layer(ext, pad, ii.width, ii.height, size, step)
+            want_det, want_trace = gather_layer(ii, size, step)
+            assert np.array_equal(det, want_det), (size, step)
+            assert np.array_equal(trace, want_trace), (size, step)
+
+
+@pytest.mark.parametrize("shape", ENGINE_SHAPES)
+def test_reused_layer_equals_recomputed(shape):
+    # octave o + 1 takes its first two layers from octave o's 2nd and 4th
+    ii = integral_image(Image(pixels=np.random.RandomState(4).random_sample(shape)))
+    pad = (surf._layer_sizes(4)[-1] - 1) // 2
+    ext = edge_extended(ii, pad)
+    for octave in range(1, 4):
+        sizes, upper = surf._layer_sizes(octave), surf._layer_sizes(octave + 1)
+        for step in (1, 2):
+            for lower_size, upper_size in ((sizes[1], upper[0]), (sizes[3], upper[1])):
+                assert lower_size == upper_size
+                fine = surf._hessian_layer(ext, pad, ii.width, ii.height, lower_size, step)
+                coarse = surf._hessian_layer(ext, pad, ii.width, ii.height, upper_size, 2 * step)
+                for reused, recomputed in zip(fine, coarse):
+                    assert np.array_equal(reused[::2, ::2], recomputed)
+
+
+def test_octaves_that_do_not_fit_leave_table_and_keypoints_alone(monkeypatch):
+    # on 96x96 octave 4 (largest filter 195) is the last that runs: octave
+    # 5's smallest filter is 99; a pad sized from octaves=10 would be 6145
+    ii = integral_image(Image(pixels=synth.square_image(96, 96)))
+    tables = []
+
+    def recording(ii_arg, pad):
+        assert pad <= 97, f"table padded for a filter that never runs: pad {pad}"
+        table = edge_extended(ii_arg, pad)
+        tables.append(table.shape)
+        return table
+
+    monkeypatch.setattr(surf, "edge_extended", recording)
+    key = [(k.x, k.y, k.scale, k.response, k.laplacian_sign) for k in
+           detect_keypoints(ii, DetectorParams(octaves=4))]
+    wide = [(k.x, k.y, k.scale, k.response, k.laplacian_sign) for k in
+            detect_keypoints(ii, DetectorParams(octaves=10))]
+    assert wide == key and key
+    assert tables == [(96 + 1 + 2 * 97,) * 2] * 2
 
 
 def test_orientation_follows_gradient():
