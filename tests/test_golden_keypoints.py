@@ -1,9 +1,13 @@
-"""Detector output pinned bit for bit to a checked-in golden file.
+"""Detector and descriptor output pinned to checked-in golden files.
 
 `golden_keypoints.json` holds, per scene, every keypoint's
 (x, y, scale, response, laplacian_sign) as JSON numbers, which round-trip
-Python floats exactly. Regenerate it only for a stated change of detector
-behaviour:
+Python floats exactly; detection must match it bit for bit.
+`golden_descriptors.json` holds, per scene and in the same keypoint order,
+[orientation, orientation_fallback, 64 descriptor values]. The fallback
+flags must match exactly and the floats within DESCRIBE_TOLERANCE, which
+allows for a change of summation order only. Regenerate both only for a
+stated change of detector or descriptor behaviour:
 
     PYTHONPATH=src python tests/test_golden_keypoints.py
 """
@@ -16,9 +20,11 @@ import pytest
 
 from snaketrack import synth
 from snaketrack.image import Image, integral_image
-from snaketrack.surf import DetectorParams, detect_keypoints
+from snaketrack.surf import DetectorParams, describe_keypoints, detect_keypoints
 
 GOLDEN = Path(__file__).with_name("golden_keypoints.json")
+GOLDEN_DESCRIPTORS = Path(__file__).with_name("golden_descriptors.json")
+DESCRIBE_TOLERANCE = 1e-9
 
 
 def _square96():
@@ -55,6 +61,14 @@ def dump(name):
     return [[kp.x, kp.y, kp.scale, kp.response, kp.laplacian_sign] for kp in kps]
 
 
+def dump_descriptors(name):
+    img, params = SCENES[name]()
+    ii = integral_image(img)
+    kps = describe_keypoints(ii, detect_keypoints(ii, params))
+    return [[kp.orientation, kp.orientation_fallback] + [float(v) for v in kp.descriptor]
+            for kp in kps]
+
+
 @pytest.mark.parametrize("name", sorted(SCENES))
 def test_keypoints_equal_golden_bitwise(name):
     golden = json.loads(GOLDEN.read_text())[name]
@@ -63,6 +77,18 @@ def test_keypoints_equal_golden_bitwise(name):
     assert got == golden
 
 
+@pytest.mark.parametrize("name", sorted(SCENES))
+def test_descriptors_match_golden(name):
+    golden = json.loads(GOLDEN_DESCRIPTORS.read_text())[name]
+    got = dump_descriptors(name)
+    assert len(got) == len(golden)
+    assert [row[1] for row in got] == [row[1] for row in golden]
+    got_values = np.array([[row[0]] + row[2:] for row in got])
+    want_values = np.array([[row[0]] + row[2:] for row in golden])
+    assert np.abs(got_values - want_values).max(initial=0.0) <= DESCRIBE_TOLERANCE
+
+
 if __name__ == "__main__":
-    GOLDEN.write_text(json.dumps({name: dump(name) for name in sorted(SCENES)},
-                                 indent=1) + "\n")
+    for path, writer in ((GOLDEN, dump), (GOLDEN_DESCRIPTORS, dump_descriptors)):
+        path.write_text(json.dumps({name: writer(name) for name in sorted(SCENES)},
+                                   indent=1) + "\n")
