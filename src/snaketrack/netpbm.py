@@ -61,6 +61,22 @@ class _Tokenizer:
 
 
 def _ascii_samples(tok: _Tokenizer, count: int, maxval: int) -> np.ndarray:
+    """The next `count` plain-text samples; tokens after them are ignored.
+
+    When the first `count` whitespace-separated tokens are all digits and at
+    most maxval, one split and one conversion read them. A comment among
+    them makes a token containing '#', which is not all digits. Anything
+    else goes through the tokenizer, which names the byte offset of the
+    first bad, missing or out-of-range sample.
+    """
+    tokens = tok.data[tok.pos:].split(None, count)[:count]
+    if len(tokens) == count and b"".join(tokens).isdigit():
+        try:
+            values = np.array(tokens, dtype=np.int64)
+        except OverflowError:   # too many digits to be <= maxval
+            values = None
+        if values is not None and values.max() <= maxval:
+            return values.astype(np.float64)
     out = np.empty(count, dtype=np.float64)
     for k in range(count):
         out[k] = tok.next_int("sample", upper=maxval)

@@ -246,6 +246,79 @@ _ORI_OFFSETS = np.array([(i, j) for i in range(-6, 7) for j in range(-6, 7)
                          if i * i + j * j <= ORIENTATION_RADIUS ** 2])
 _ORI_WEIGHTS = np.exp(-(_ORI_OFFSETS[:, 0] ** 2 + _ORI_OFFSETS[:, 1] ** 2)
                       / (2.0 * ORIENTATION_SIGMA ** 2))
+_ORI_STARTS = np.arange(72) * ORIENTATION_STEP    # window k covers [k * step, k * step + pi/3)
+
+_DESC_UNITS = np.arange(20, dtype=np.float64) - 9.5
+_DESC_OX, _DESC_OY = np.meshgrid(_DESC_UNITS, _DESC_UNITS)   # (row=y, col=x)
+_DESC_WEIGHTS = np.exp(-(_DESC_OX ** 2 + _DESC_OY ** 2) / (2.0 * DESCRIPTOR_SIGMA ** 2))
+
+# keypoints described together; a chunk's (256, 72, 109) float window mask
+# is about 16 MB
+DESCRIBE_CHUNK = 256
+
+
+def _column(kps, field, shape):
+    return np.array([getattr(kp, field) for kp in kps], dtype=np.float64).reshape(shape)
+
+
+def _wavelet_half(scale):
+    """Haar half-side max(1, round(scale)) per keypoint, as int64."""
+    return np.maximum(1, np.floor(scale + 0.5).astype(np.int64))
+
+
+def _assign_orientations(ii: IntegralImage, kps: list[KeyPoint]) -> None:
+    """`assign_orientation` for every keypoint of a list, in place."""
+    w, h = ii.width, ii.height
+    inside = []
+    for kp in kps:
+        margin = ORIENTATION_RADIUS * kp.scale
+        if margin <= kp.x <= w - 1 - margin and margin <= kp.y <= h - 1 - margin:
+            inside.append(kp)
+        else:
+            kp.orientation = 0.0
+            kp.orientation_fallback = True
+    s = _column(inside, "scale", (-1, 1))
+    px = np.floor(_column(inside, "x", (-1, 1)) + _ORI_OFFSETS[:, 0] * s + 0.5).astype(np.int64)
+    py = np.floor(_column(inside, "y", (-1, 1)) + _ORI_OFFSETS[:, 1] * s + 0.5).astype(np.int64)
+    half = 2 * _wavelet_half(s)
+    g = np.empty(px.shape + (2,), dtype=np.float64)       # (n, samples, [x, y])
+    g[:, :, 0] = _ORI_WEIGHTS * _haar_x(ii.padded, w, h, px, py, half)
+    g[:, :, 1] = _ORI_WEIGHTS * _haar_y(ii.padded, w, h, px, py, half)
+    angles = np.mod(np.arctan2(g[:, :, 1], g[:, :, 0]), TWO_PI)
+    windows = np.mod(angles[:, None, :] - _ORI_STARTS[:, None], TWO_PI) < ORIENTATION_WINDOW
+    sums = windows.astype(np.float64) @ g                   # (n, 72, [x, y])
+    norms = sums[:, :, 0] * sums[:, :, 0] + sums[:, :, 1] * sums[:, :, 1]
+    # argmax keeps the first of equal norms
+    for kp, total, k in zip(inside, sums, np.argmax(norms, axis=1)):
+        kp.orientation = math.atan2(float(total[k, 1]), float(total[k, 0])) % TWO_PI
+        kp.orientation_fallback = False
+
+
+def _compute_descriptors(ii: IntegralImage, kps: list[KeyPoint]) -> None:
+    """`compute_descriptor` for every keypoint of a list, in place."""
+    n = len(kps)
+    shape = (-1, 1, 1)
+    s = _column(kps, "scale", shape)
+    cos_t = np.array([math.cos(kp.orientation) for kp in kps]).reshape(shape)
+    sin_t = np.array([math.sin(kp.orientation) for kp in kps]).reshape(shape)
+    ox = _DESC_OX * s
+    oy = _DESC_OY * s
+    px = np.floor(_column(kps, "x", shape) + ox * cos_t - oy * sin_t + 0.5).astype(np.int64)
+    py = np.floor(_column(kps, "y", shape) + ox * sin_t + oy * cos_t + 0.5).astype(np.int64)
+    half = _wavelet_half(s)
+    hx = _haar_x(ii.padded, ii.width, ii.height, px, py, half)
+    hy = _haar_y(ii.padded, ii.width, ii.height, px, py, half)
+    dx = _DESC_WEIGHTS * (cos_t * hx + sin_t * hy)
+    dy = _DESC_WEIGHTS * (-sin_t * hx + cos_t * hy)
+    blocks = np.empty((n, 4, 4, 4), dtype=np.float64)
+    for c, part in enumerate((dx, dy, np.abs(dx), np.abs(dy))):
+        blocks[..., c] = part.reshape(n, 4, 5, 4, 5).sum(axis=(2, 4))
+    descs = blocks.reshape(n, 64)
+    norms = np.sqrt((descs * descs).sum(axis=1))
+    for kp, desc, norm in zip(kps, descs, norms):
+        if norm > 0.0:
+            desc /= norm
+        kp.descriptor = desc
 
 
 def assign_orientation(ii: IntegralImage, kp: KeyPoint) -> float:
@@ -254,41 +327,11 @@ def assign_orientation(ii: IntegralImage, kp: KeyPoint) -> float:
     Weighted horizontal/vertical Haar responses (wavelet side 4 * scale) are
     sampled on a disk of radius 6 * scale; the orientation is the angle of
     the largest response vector summed over a sliding pi/3 window stepped by
-    pi/36. If the disk does not fit inside the image the orientation is 0
-    and the keypoint is flagged.
+    pi/36 (the first such window on ties). If the disk does not fit inside
+    the image the orientation is 0 and the keypoint is flagged.
     """
-    s = kp.scale
-    margin = ORIENTATION_RADIUS * s
-    w, h = ii.width, ii.height
-    if not (margin <= kp.x <= w - 1 - margin and margin <= kp.y <= h - 1 - margin):
-        kp.orientation = 0.0
-        kp.orientation_fallback = True
-        return 0.0
-    sr = max(1, int(math.floor(s + 0.5)))
-    px = np.floor(kp.x + _ORI_OFFSETS[:, 0] * s + 0.5).astype(np.int64)
-    py = np.floor(kp.y + _ORI_OFFSETS[:, 1] * s + 0.5).astype(np.int64)
-    gx = _ORI_WEIGHTS * _haar_x(ii.padded, w, h, px, py, 2 * sr)
-    gy = _ORI_WEIGHTS * _haar_y(ii.padded, w, h, px, py, 2 * sr)
-    angles = np.mod(np.arctan2(gy, gx), TWO_PI)
-    best_norm = -1.0
-    best = (0.0, 0.0)
-    for k in range(72):
-        start = k * ORIENTATION_STEP
-        inside = np.mod(angles - start, TWO_PI) < ORIENTATION_WINDOW
-        sx = float(gx[inside].sum())
-        sy = float(gy[inside].sum())
-        norm = sx * sx + sy * sy
-        if norm > best_norm:
-            best_norm = norm
-            best = (sx, sy)
-    kp.orientation = math.atan2(best[1], best[0]) % TWO_PI
-    kp.orientation_fallback = False
+    _assign_orientations(ii, [kp])
     return kp.orientation
-
-
-_DESC_UNITS = np.arange(20, dtype=np.float64) - 9.5
-_DESC_OX, _DESC_OY = np.meshgrid(_DESC_UNITS, _DESC_UNITS)   # (row=y, col=x)
-_DESC_WEIGHTS = np.exp(-(_DESC_OX ** 2 + _DESC_OY ** 2) / (2.0 * DESCRIPTOR_SIGMA ** 2))
 
 
 def compute_descriptor(ii: IntegralImage, kp: KeyPoint) -> np.ndarray:
@@ -299,36 +342,21 @@ def compute_descriptor(ii: IntegralImage, kp: KeyPoint) -> np.ndarray:
     (sum dx, sum dy, sum |dx|, sum |dy|) of Gaussian-weighted responses
     rotated into the keypoint frame.
     """
-    s = kp.scale
-    sr = max(1, int(math.floor(s + 0.5)))
-    cos_t = math.cos(kp.orientation)
-    sin_t = math.sin(kp.orientation)
-    ox = _DESC_OX * s
-    oy = _DESC_OY * s
-    px = np.floor(kp.x + ox * cos_t - oy * sin_t + 0.5).astype(np.int64)
-    py = np.floor(kp.y + ox * sin_t + oy * cos_t + 0.5).astype(np.int64)
-    hx = _haar_x(ii.padded, ii.width, ii.height, px, py, sr)
-    hy = _haar_y(ii.padded, ii.width, ii.height, px, py, sr)
-    dx = _DESC_WEIGHTS * (cos_t * hx + sin_t * hy)
-    dy = _DESC_WEIGHTS * (-sin_t * hx + cos_t * hy)
-    blocks = np.empty((4, 4, 4), dtype=np.float64)
-    blocks[:, :, 0] = dx.reshape(4, 5, 4, 5).sum(axis=(1, 3))
-    blocks[:, :, 1] = dy.reshape(4, 5, 4, 5).sum(axis=(1, 3))
-    blocks[:, :, 2] = np.abs(dx).reshape(4, 5, 4, 5).sum(axis=(1, 3))
-    blocks[:, :, 3] = np.abs(dy).reshape(4, 5, 4, 5).sum(axis=(1, 3))
-    desc = blocks.reshape(64)
-    norm = math.sqrt(float((desc * desc).sum()))
-    if norm > 0.0:
-        desc /= norm
-    kp.descriptor = desc
-    return desc
+    _compute_descriptors(ii, [kp])
+    return kp.descriptor
 
 
 def describe_keypoints(ii: IntegralImage, kps: list[KeyPoint]) -> list[KeyPoint]:
-    """Assign orientation and descriptor to every keypoint, in place."""
-    for kp in kps:
-        assign_orientation(ii, kp)
-        compute_descriptor(ii, kp)
+    """Assign orientation and descriptor to every keypoint, in place.
+
+    Keypoints are processed DESCRIBE_CHUNK at a time with array operations;
+    each result is bitwise the one `assign_orientation` and
+    `compute_descriptor` give for that keypoint alone.
+    """
+    for start in range(0, len(kps), DESCRIBE_CHUNK):
+        chunk = kps[start:start + DESCRIBE_CHUNK]
+        _assign_orientations(ii, chunk)
+        _compute_descriptors(ii, chunk)
     return kps
 
 

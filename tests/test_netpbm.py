@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from snaketrack import netpbm
 from snaketrack.errors import DecodeError
@@ -105,3 +107,87 @@ def test_ppm_round_trip_applies_luma(tmp_path):
     assert back[0, 0] == pytest.approx(0.299)
     assert back[1, 1] == pytest.approx(0.114)
     assert back[0, 1] == 0.0
+
+
+SEPARATORS = st.text(alphabet=" \t\n\r\x0b\x0c", min_size=1, max_size=3).map(str.encode)
+
+
+@st.composite
+def p2_rasters(draw):
+    """(P2 bytes, samples, maxval) with random whitespace between all tokens."""
+    maxval = draw(st.sampled_from([255, 65535]))
+    width = draw(st.integers(1, 9))
+    height = draw(st.integers(1, 9))
+    samples = draw(st.lists(st.integers(0, maxval), min_size=width * height,
+                            max_size=width * height))
+    tokens = [b"P2", b"%d" % width, b"%d" % height, b"%d" % maxval]
+    tokens += [b"%d" % v for v in samples]
+    data = tokens[0]
+    for token in tokens[1:]:
+        data += draw(SEPARATORS) + token
+    data += draw(st.sampled_from([b"", b"\n"]))
+    return data, np.array(samples, dtype=np.float64).reshape(height, width), maxval
+
+
+@settings(max_examples=150, deadline=None)
+@given(p2_rasters())
+def test_p2_round_trip_bitwise(raster):
+    data, samples, maxval = raster
+    assert np.array_equal(netpbm.decode(data), samples / maxval)
+
+
+def sample_reads(monkeypatch):
+    """Record every sample the tokenizer parses one at a time."""
+    calls = []
+    next_int = netpbm._Tokenizer.next_int
+
+    def counting(self, what, upper=None):
+        if what == "sample":
+            calls.append(self.pos)
+        return next_int(self, what, upper)
+
+    monkeypatch.setattr(netpbm._Tokenizer, "next_int", counting)
+    return calls
+
+
+@settings(max_examples=50, deadline=None)
+@given(p2_rasters())
+def test_split_path_equals_tokenizer_bitwise(raster):
+    # a comment after the last sample is never read, but sends the raster
+    # through the tokenizer
+    data, _, _ = raster
+    fast = netpbm.decode(data)
+    slow = netpbm.decode(data + b"\n# end of raster\n")
+    assert np.array_equal(fast, slow)
+
+
+def test_path_taken(monkeypatch):
+    calls = sample_reads(monkeypatch)
+    clean = netpbm.decode(b"P2 2 2 255\n1 2\n3 4\n trailing tokens are ignored")
+    assert calls == []
+    # the comment's digits are not samples
+    commented = netpbm.decode(b"P2 2 2 255\n1 2 #5 6\n3 4\n")
+    assert len(calls) == 4
+    assert np.array_equal(clean, commented)
+    calls.clear()
+    with pytest.raises(DecodeError):
+        netpbm.decode(b"P2 2 1 255\n+5 3\n")
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("data, message", [
+    (b"P2 2 2 255\n1 2 3 foo", "bad sample b'foo' at byte 17"),
+    (b"P2 2 1 255\n+5 3\n", "bad sample b'+5' at byte 11"),
+    (b"P2 2 1 255\n0001 2garbage\n", "bad sample b'2garbage' at byte 16"),
+    (b"P2 2 2 255\n1 # c\n2 3 x4\n", "bad sample b'x4' at byte 21"),
+    (b"P2 3 1 255\n1 2", "missing sample at byte 14"),
+    (b"P2 3 1 255\n1 2 # three\n", "missing sample at byte 23"),
+    (b"P2 2 1 100\n7 101\n", "sample 101 out of range at byte 13"),
+    (b"P2 2 1 255\n7 0000000000000000000000000256\n", "sample 256 out of range at byte 13"),
+    (b"P2 2 1 255\n7 99999999999999999999999\n",
+     "sample 99999999999999999999999 out of range at byte 13"),
+])
+def test_bad_raster_messages(data, message):
+    with pytest.raises(DecodeError) as exc:
+        netpbm.decode(data)
+    assert str(exc.value) == message

@@ -235,6 +235,37 @@ def test_descriptor_deterministic():
     assert k1.orientation == k2.orientation
 
 
+
+def test_describe_batch_equals_each_keypoint_alone():
+    # more keypoints than one chunk, border ones falling back to orientation 0
+    rng = np.random.RandomState(12)
+    ii = integral_image(Image(pixels=rng.random_sample((70, 90))))
+    n = surf.DESCRIBE_CHUNK + 45
+    batch = [mkkp(x, y, scale) for x, y, scale in
+             zip(rng.uniform(0, 89, n), rng.uniform(0, 69, n), rng.uniform(1.2, 5.0, n))]
+    alone = [copy_keypoint(kp) for kp in batch]
+    assert describe_keypoints(ii, batch) is batch
+    for kp in alone:
+        assign_orientation(ii, kp)
+        compute_descriptor(ii, kp)
+    flags = [kp.orientation_fallback for kp in batch]
+    assert 0 < sum(flags) < n
+    for got, want in zip(batch, alone):
+        assert got.orientation_fallback == want.orientation_fallback
+        assert got.orientation == want.orientation
+        assert np.array_equal(got.descriptor, want.descriptor)
+
+
+def test_describe_empty_list():
+    ii = integral_image(gaussian_blob(32, 16.0, 16.0))
+    assert describe_keypoints(ii, []) == []
+    # no keypoint's orientation disk fits: the orientation batch is empty
+    border = [mkkp(1.0, 1.0), mkkp(30.0, 16.0, scale=3.0)]
+    assert describe_keypoints(ii, border) is border
+    for kp in border:
+        assert kp.orientation == 0.0 and kp.orientation_fallback
+        assert kp.descriptor.shape == (64,)
+
 def unit_desc(hot, value=1.0):
     d = np.zeros(64)
     d[hot] = value
