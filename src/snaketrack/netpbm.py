@@ -74,9 +74,10 @@ def _ascii_samples(tok: _Tokenizer, count: int, maxval: int) -> np.ndarray:
         try:
             values = np.array(tokens, dtype=np.int64)
         except OverflowError:   # too many digits to be <= maxval
-            values = None
-        if values is not None and values.max() <= maxval:
-            return values.astype(np.float64)
+            pass
+        else:
+            if values.max() <= maxval:
+                return values.astype(np.float64)
     out = np.empty(count, dtype=np.float64)
     for k in range(count):
         out[k] = tok.next_int("sample", upper=maxval)

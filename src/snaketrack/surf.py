@@ -314,10 +314,9 @@ def _compute_descriptors(ii: IntegralImage, kps: list[KeyPoint]) -> None:
     for c, part in enumerate((dx, dy, np.abs(dx), np.abs(dy))):
         blocks[..., c] = part.reshape(n, 4, 5, 4, 5).sum(axis=(2, 4))
     descs = blocks.reshape(n, 64)
-    norms = np.sqrt((descs * descs).sum(axis=1))
-    for kp, desc, norm in zip(kps, descs, norms):
-        if norm > 0.0:
-            desc /= norm
+    norms = np.sqrt((descs * descs).sum(axis=1, keepdims=True))
+    np.divide(descs, norms, out=descs, where=norms > 0.0)
+    for kp, desc in zip(kps, descs):
         kp.descriptor = desc
 
 
