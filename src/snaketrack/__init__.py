@@ -3,9 +3,8 @@
 from .errors import (ConfigError, DecodeError, ExtremitySelectionError,
                      InitializationError, SizeError, SnaketrackError,
                      TrackingLostError)
-from .image import (Image, IntegralImage, ScalarField, SmoothingParams,
-                    external_energy_map, gaussian_smooth, gradient_magnitude,
-                    integral_image)
+from .image import (Image, IntegralImage, ScalarField, external_energy_map,
+                    gaussian_smooth, gradient_magnitude, integral_image)
 from .snake import (Contour, ContourResult, Event, ExplorerAgent,
                     SegmentationResult, SnakeParams, SupervisorState,
                     run_segmentation, resume_segmentation)
@@ -18,9 +17,8 @@ __version__ = "0.1.0"
 __all__ = [
     "ConfigError", "DecodeError", "ExtremitySelectionError",
     "InitializationError", "SizeError", "SnaketrackError", "TrackingLostError",
-    "Image", "IntegralImage", "ScalarField", "SmoothingParams",
-    "external_energy_map", "gaussian_smooth", "gradient_magnitude",
-    "integral_image",
+    "Image", "IntegralImage", "ScalarField", "external_energy_map",
+    "gaussian_smooth", "gradient_magnitude", "integral_image",
     "Contour", "ContourResult", "Event", "ExplorerAgent", "SegmentationResult",
     "SnakeParams", "SupervisorState", "run_segmentation", "resume_segmentation",
     "DetectorParams", "KeyPoint", "Match", "describe_keypoints",

@@ -17,7 +17,7 @@ import argparse
 import dataclasses
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -39,37 +39,30 @@ EXIT_LOST = 3
 
 @dataclass
 class RunConfig:
-    """Flat run configuration; every key in a config file names a field."""
+    """Run configuration: five keys of its own plus the parameter objects.
+
+    Every key in a config file names a field of RunConfig, SnakeParams or
+    DetectorParams, so each default is declared once, by the class that
+    uses it.
+    """
 
     input_dir: str = ""
     frame_glob: str = "frame_*.pgm"
     output_dir: str = ""
-    alpha: float = 0.05
-    beta: float = 0.01
-    lam: float = 1.0
-    sigma: float = 1.0
-    max_iters: int = 500
-    stall_window: int = 5
-    max_spacing: float = 12.0
-    min_contour_size: int = 4
-    hessian_threshold: float = 0.0002
-    octaves: int = 3
-    init_step: int = 1
-    ratio: float = 0.7
+    snake: SnakeParams = field(default_factory=SnakeParams)
+    detector: DetectorParams = field(default_factory=DetectorParams)
     emit_overlays: bool = False
     dump_keypoints: bool = False
 
-    def snake_params(self) -> SnakeParams:
-        return SnakeParams(alpha=self.alpha, beta=self.beta, lam=self.lam,
-                           sigma=self.sigma, max_iters=self.max_iters,
-                           stall_window=self.stall_window,
-                           max_spacing=self.max_spacing,
-                           min_contour_size=self.min_contour_size)
-
-    def detector_params(self) -> DetectorParams:
-        return DetectorParams(hessian_threshold=self.hessian_threshold,
-                              octaves=self.octaves, init_step=self.init_step,
-                              ratio=self.ratio)
+    def items(self):
+        """Every config key with its value, parameter objects flattened in place."""
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if dataclasses.is_dataclass(value):
+                yield from ((p.name, getattr(value, p.name))
+                            for p in dataclasses.fields(value))
+            else:
+                yield f.name, value
 
 
 def _parse_bool(value: str) -> bool:
@@ -82,10 +75,21 @@ def _parse_bool(value: str) -> bool:
 
 
 def parse_config(text: str) -> RunConfig:
-    """Parse `key = value` lines; '#' starts a comment, blank lines ignored."""
-    fields = {f.name: f.type for f in dataclasses.fields(RunConfig)}
+    """Parse `key = value` lines; '#' starts a comment, blank lines ignored.
+
+    Each key goes to the class that declares it, and the parameter objects
+    are built here, so a bad parameter value is a ConfigError.
+    """
+    # parameter classes by the RunConfig field that holds them, and each
+    # key's (parameter field or None for RunConfig's own, type)
+    groups = {f.name: f.default_factory for f in dataclasses.fields(RunConfig)
+              if dataclasses.is_dataclass(f.default_factory)}
+    keys = {f.name: (None, f.type) for f in dataclasses.fields(RunConfig)
+            if f.name not in groups}
+    for group, cls in groups.items():
+        keys.update((p.name, (group, p.type)) for p in dataclasses.fields(cls))
     casts = {"str": str, "float": float, "int": int, "bool": _parse_bool}
-    values = {}
+    values: dict[str | None, dict] = {None: {}, **{group: {} for group in groups}}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -95,18 +99,22 @@ def parse_config(text: str) -> RunConfig:
         value = value.strip()
         if not sep or not key:
             raise ConfigError(f"line {lineno}: expected key = value, got {raw!r}")
-        if key not in fields:
+        if key not in keys:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        group, cast = keys[key]
         try:
-            values[key] = casts[fields[key]](value)
+            values[group][key] = casts[cast](value)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key}: {exc}") from None
-    cfg = RunConfig(**values)
-    if not cfg.input_dir:
-        raise ConfigError("input_dir is required")
-    if not cfg.output_dir:
-        raise ConfigError("output_dir is required")
-    return cfg
+    own = values[None]
+    for required in ("input_dir", "output_dir"):
+        if not own.get(required):
+            raise ConfigError(f"{required} is required")
+    try:
+        params = {group: cls(**values[group]) for group, cls in groups.items()}
+    except ValueError as exc:
+        raise ConfigError(f"bad parameter: {exc}") from None
+    return RunConfig(**own, **params)
 
 
 def _draw_line(rgb: np.ndarray, x0: int, y0: int, x1: int, y1: int,
@@ -190,13 +198,8 @@ def run_command(args) -> int:
     out_dir = Path(cfg.output_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        snake_params = cfg.snake_params()
-        detector_params = cfg.detector_params()
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ValueError as exc:
-        print(f"error: bad parameter: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
     if emit_overlays:
@@ -208,8 +211,8 @@ def run_command(args) -> int:
     try:
         with open(out_dir / "contours.jsonl", "w") as jf, \
              open(out_dir / "metrics.csv", "w") as mf:
-            for f in dataclasses.fields(cfg):
-                mf.write(f"# {f.name}={getattr(cfg, f.name)}\n")
+            for key, value in cfg.items():
+                mf.write(f"# {key}={value}\n")
             mf.write("frame,iterations,final_energy,contours,"
                      "splits,discards,offset_x,offset_y\n")
             mf.flush()
@@ -217,12 +220,11 @@ def run_command(args) -> int:
                 gray = netpbm.read(path)
                 img = Image(pixels=gray)
                 if state is None:
-                    state, result = init_tracking(img, detector_params,
-                                                  snake_params)
+                    state, result = init_tracking(img, cfg.detector, cfg.snake)
                     offset = (0.0, 0.0)
                 else:
-                    state, result = track_frame(state, img, detector_params,
-                                                snake_params)
+                    state, result = track_frame(state, img, cfg.detector,
+                                                cfg.snake)
                     offset = state.global_offset
                 for rec in _result_records(index, result):
                     jf.write(json.dumps(rec) + "\n")

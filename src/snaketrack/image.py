@@ -123,20 +123,6 @@ class IntegralImage:
         return self.table.shape[0]
 
 
-@dataclass(frozen=True)
-class SmoothingParams:
-    """Gaussian pre-smoothing width and external-energy weight."""
-
-    sigma: float = 1.0
-    lam: float = 1.0
-
-    def __post_init__(self):
-        if self.sigma < 0.0:
-            raise ValueError("sigma must be >= 0")
-        if self.lam <= 0.0:
-            raise ValueError("lam must be > 0")
-
-
 def gaussian_kernel(sigma: float) -> np.ndarray:
     """Normalized 1-d Gaussian taps over radius ceil(3*sigma)."""
     radius = math.ceil(3.0 * sigma)
@@ -168,17 +154,20 @@ def gradient_magnitude(img: Image) -> ScalarField:
     return ScalarField(np.hypot(gx, gy), GRADIENT_MAGNITUDE)
 
 
-def external_energy_map(img: Image, params: SmoothingParams) -> ScalarField:
-    """Energy field -lam * (m / max m)^2 from the smoothed gradient magnitude m.
+def external_energy_map(img: Image, sigma: float, lam: float) -> ScalarField:
+    """Energy field -lam * (m / max m)^2, m the gradient magnitude at sigma.
 
-    A featureless image (max m == 0) yields an all-zero field.
+    The image is smoothed at sigma first; lam must be > 0. A featureless
+    image (max m == 0) yields an all-zero field.
     """
-    m = gradient_magnitude(gaussian_smooth(img, params.sigma)).values
+    if lam <= 0.0:
+        raise ValueError("lam must be > 0")
+    m = gradient_magnitude(gaussian_smooth(img, sigma)).values
     peak = m.max()
     if peak == 0.0:
         return ScalarField(np.zeros_like(m), EXTERNAL_ENERGY)
     rel = m / peak
-    return ScalarField(-params.lam * rel * rel, EXTERNAL_ENERGY)
+    return ScalarField(-lam * rel * rel, EXTERNAL_ENERGY)
 
 
 def integral_image(img: Image) -> IntegralImage:

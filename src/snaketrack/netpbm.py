@@ -96,7 +96,7 @@ def _binary_samples(data: bytes, pos: int, count: int, maxval: int) -> np.ndarra
         samples = np.frombuffer(raw, dtype=np.uint8)
     else:
         samples = np.frombuffer(raw, dtype=">u2")
-    if maxval > 255 and samples.max(initial=0) > maxval:
+    if samples.max(initial=0) > maxval:
         raise DecodeError(f"sample exceeds maxval in raster starting at byte {pos}")
     return samples.astype(np.float64)
 

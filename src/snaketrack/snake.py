@@ -34,8 +34,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import InitializationError
-from .image import (EXTERNAL_ENERGY, Image, ScalarField, SmoothingParams,
-                    external_energy_map)
+from .image import EXTERNAL_ENERGY, Image, ScalarField, external_energy_map
 
 # candidate scan order: stay first, then compass neighbors clockwise from
 # north; y grows downward so north is (0, -1)
@@ -83,9 +82,6 @@ class SnakeParams:
             raise ValueError("max_spacing must be >= 0 (0 disables resampling)")
         if self.min_contour_size < 3:
             raise ValueError("min_contour_size must be >= 3")
-
-    def smoothing(self) -> SmoothingParams:
-        return SmoothingParams(sigma=self.sigma, lam=self.lam)
 
 
 @dataclass
@@ -350,78 +346,79 @@ def _contour_energy(state: SupervisorState, ids: list[int], field: ScalarField,
             + external_energy(c, positions, field))
 
 
-def _plan_split(contour: Contour, i: int, j: int, min_size: int):
-    """Arcs produced by cutting the cycle at positions i < j.
+def _settlement(contour: Contour, i: int, j: int, min_size: int):
+    """The collision-settlement rule for agents at cyclic positions i < j.
 
-    Returns (kept_arcs, dropped_arcs); each arc is a list of agent ids. The
-    first colliding agent goes to the first arc, the second to the second.
+    Adjacent agents merge: the later id leaves and the rest of the cycle is
+    the one arc. Otherwise the cycle is cut into ids[i:j] and
+    ids[j:] + ids[:i], so the first colliding agent goes to the first arc.
+    Returns (merged id or None, kept arcs, dropped arcs); arcs below
+    min_size are dropped.
     """
     ids = contour.agent_ids
-    arc1 = ids[i:j]
-    arc2 = ids[j:] + ids[:i]
+    if j - i == 1 or (i == 0 and j == len(ids) - 1):
+        merged = max(ids[i], ids[j])
+        arcs = [[aid for aid in ids if aid != merged]]
+    else:
+        merged = None
+        arcs = [ids[i:j], ids[j:] + ids[:i]]
     kept, dropped = [], []
-    for arc in (arc1, arc2):
+    for arc in arcs:
         (kept if len(arc) >= min_size else dropped).append(arc)
-    return kept, dropped
+    return merged, kept, dropped
 
 
 def split_contour(state: SupervisorState, contour: Contour, i: int, j: int,
                   params: SnakeParams) -> list[Event]:
     """Resolve a same-pixel collision between cyclic positions i and j.
 
-    Non-adjacent collisions cut the cycle into two arcs, each closed into a
-    fresh contour; arcs below min_contour_size are discarded. Adjacent
-    collisions delete the later-id agent instead. Returns the events logged.
+    Applies `_settlement`: an adjacent collision deletes the later-id agent,
+    a non-adjacent one closes each kept arc into a fresh contour, and a
+    dropped arc or contour is discarded with its agents. Returns the events
+    logged.
     """
     n = len(contour.agent_ids)
     if not (0 <= i < j < n):
         raise ValueError(f"positions {i}, {j} invalid for a contour of {n} agents")
-    events: list[Event] = []
-    if j - i == 1 or (i == 0 and j == n - 1):
-        a = state.agents[contour.agent_ids[i]]
-        b = state.agents[contour.agent_ids[j]]
-        events.extend(_discard_agent(state, contour, max(a.id, b.id), params))
-        state.events.extend(events)
-        return events
-    kept, dropped = _plan_split(contour, i, j, params.min_contour_size)
-    del state.contours[contour.id]
-    new_ids = []
-    for arc in kept:
-        cid = state.new_contour_id()
-        sub = Contour(id=cid, agent_ids=list(arc))
-        sub.canonicalize()
-        state.contours[cid] = sub
-        for aid in arc:
-            state.agents[aid].contour_id = cid
-        new_ids.append(cid)
-    events.append(Event(state.iteration, SPLIT,
-                        contour_ids=(contour.id, *new_ids),
-                        agent_ids=(contour.agent_ids[i], contour.agent_ids[j])))
-    for arc in dropped:
-        for aid in arc:
-            del state.agents[aid]
-        events.append(Event(state.iteration, DISCARD,
-                            contour_ids=(contour.id,), agent_ids=tuple(arc)))
+    merged, kept, dropped = _settlement(contour, i, j, params.min_contour_size)
+    if merged is not None:
+        events = [Event(state.iteration, DISCARD, contour_ids=(contour.id,),
+                        agent_ids=(merged,))]
+        contour.agent_ids.remove(merged)
+        del state.agents[merged]
+        contour.canonicalize()
+        if dropped:
+            events.append(_drop_contour(state, contour))
+    else:
+        del state.contours[contour.id]
+        new_ids = []
+        for arc in kept:
+            cid = state.new_contour_id()
+            sub = Contour(id=cid, agent_ids=list(arc))
+            sub.canonicalize()
+            state.contours[cid] = sub
+            for aid in arc:
+                state.agents[aid].contour_id = cid
+            new_ids.append(cid)
+        events = [Event(state.iteration, SPLIT, contour_ids=(contour.id, *new_ids),
+                        agent_ids=(contour.agent_ids[i], contour.agent_ids[j]))]
+        for arc in dropped:
+            for aid in arc:
+                del state.agents[aid]
+            events.append(Event(state.iteration, DISCARD,
+                                contour_ids=(contour.id,), agent_ids=tuple(arc)))
     state.events.extend(events)
     return events
 
 
-def _discard_agent(state: SupervisorState, contour: Contour, aid: int,
-                   params: SnakeParams) -> list[Event]:
-    """Remove one agent; drop the whole contour if it falls below min size."""
-    events = [Event(state.iteration, DISCARD, contour_ids=(contour.id,),
-                    agent_ids=(aid,))]
-    contour.agent_ids.remove(aid)
-    del state.agents[aid]
-    contour.canonicalize()
-    if len(contour.agent_ids) < params.min_contour_size:
-        remaining = tuple(contour.agent_ids)
-        for rid in remaining:
-            del state.agents[rid]
-        del state.contours[contour.id]
-        events.append(Event(state.iteration, DISCARD,
-                            contour_ids=(contour.id,), agent_ids=remaining))
-    return events
+def _drop_contour(state: SupervisorState, contour: Contour) -> Event:
+    """Delete a contour with its agents; returns the DISCARD event naming them."""
+    remaining = tuple(contour.agent_ids)
+    for aid in remaining:
+        del state.agents[aid]
+    del state.contours[contour.id]
+    return Event(state.iteration, DISCARD, contour_ids=(contour.id,),
+                 agent_ids=remaining)
 
 
 def _same_contour_occupant(state: SupervisorState, agent: ExplorerAgent,
@@ -438,26 +435,10 @@ def _same_contour_occupant(state: SupervisorState, agent: ExplorerAgent,
 def _settlement_delta(state: SupervisorState, contour: Contour, i: int, j: int,
                       field: ScalarField, params: SnakeParams) -> float:
     """Energy change the collision settlement at (i, j) would cause."""
-    ids = contour.agent_ids
-    n = len(ids)
-    before = _contour_energy(state, ids, field, params)
-    if j - i == 1 or (i == 0 and j == n - 1):
-        drop = max(ids[i], ids[j])
-        rest = [aid for aid in ids if aid != drop]
-        if len(rest) < params.min_contour_size:
-            return -before
-        return _contour_energy(state, rest, field, params) - before
-    kept, _ = _plan_split(contour, i, j, params.min_contour_size)
+    _, kept, _ = _settlement(contour, i, j, params.min_contour_size)
+    before = _contour_energy(state, contour.agent_ids, field, params)
     after = sum(_contour_energy(state, arc, field, params) for arc in kept)
     return after - before
-
-
-def _settle_collision(state: SupervisorState, contour: Contour,
-                      a: ExplorerAgent, b: ExplorerAgent,
-                      params: SnakeParams) -> list[Event]:
-    ids = contour.agent_ids
-    i, j = sorted((ids.index(a.id), ids.index(b.id)))
-    return split_contour(state, contour, i, j, params)
 
 
 # ---------------------------------------------------------------------------
@@ -506,7 +487,7 @@ def step(state: SupervisorState, field: ScalarField, params: SnakeParams) -> lis
         i, j = sorted((ids.index(agent.id), ids.index(occupant.id)))
         settle = _settlement_delta(state, contour, i, j, field, params)
         if delta + settle <= 0.0:
-            _settle_collision(state, contour, agent, occupant, params)
+            split_contour(state, contour, i, j, params)
             state.current_energy += delta + settle
             moved += 1
         else:
@@ -660,7 +641,7 @@ def run_segmentation(img: Image, seeds, params: SnakeParams) -> SegmentationResu
     Builds the external energy field, places the agents, and sweeps until
     convergence (stalled moves or the iteration cap).
     """
-    field = external_energy_map(img, params.smoothing())
+    field = external_energy_map(img, params.sigma, params.lam)
     state = init_agents(seeds, params.min_contour_size, img.width, img.height)
     return _run(state, field, params)
 
@@ -675,7 +656,7 @@ def resume_segmentation(img: Image, carried, params: SnakeParams) -> Segmentatio
     contours that fall below min_contour_size are discarded. The result may
     contain no contours, which callers should treat as tracking lost.
     """
-    field = external_energy_map(img, params.smoothing())
+    field = external_energy_map(img, params.sigma, params.lam)
     state = SupervisorState(width=img.width, height=img.height)
     for rec in carried:
         contour = Contour(id=rec.id, agent_ids=list(rec.agent_ids))
@@ -694,10 +675,5 @@ def resume_segmentation(img: Image, carried, params: SnakeParams) -> Segmentatio
     for cid in sorted(state.contours):
         contour = state.contours[cid]
         if len(contour.agent_ids) < params.min_contour_size:
-            remaining = tuple(contour.agent_ids)
-            for aid in remaining:
-                del state.agents[aid]
-            del state.contours[cid]
-            state.events.append(Event(0, DISCARD, contour_ids=(cid,),
-                                      agent_ids=remaining))
+            state.events.append(_drop_contour(state, contour))
     return _run(state, field, params)

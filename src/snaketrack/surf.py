@@ -359,7 +359,8 @@ def describe_keypoints(ii: IntegralImage, kps: list[KeyPoint]) -> list[KeyPoint]
     return kps
 
 
-def match_descriptors(a: list[KeyPoint], b: list[KeyPoint], ratio: float = 0.7) -> list[Match]:
+def match_descriptors(a: list[KeyPoint], b: list[KeyPoint],
+                      ratio: float = DetectorParams.ratio) -> list[Match]:
     """Sign-gated nearest-neighbor matching with Lowe's ratio test.
 
     For every keypoint in `a` the nearest and second-nearest descriptors in

@@ -17,9 +17,8 @@ import numpy as np
 from .errors import TrackingLostError
 from .image import Image, IntegralImage, integral_image
 from .snake import SegmentationResult, SnakeParams, resume_segmentation, run_segmentation
-from .surf import (LONE_MATCH_LIMIT, DetectorParams, KeyPoint, copy_keypoint,
-                   describe_keypoints, detect_keypoints, match_descriptors,
-                   select_extremity_points)
+from .surf import (DetectorParams, KeyPoint, copy_keypoint, describe_keypoints,
+                   detect_keypoints, match_descriptors, select_extremity_points)
 
 SEARCH_RADIUS = 30.0
 
@@ -54,38 +53,21 @@ def propagate_points(state: TrackState, frame: Image,
                      detector: DetectorParams) -> tuple[list[KeyPoint], tuple[float, float]]:
     """Match tracked points into a new frame and estimate the global offset.
 
-    Each tracked point is matched by descriptor distance against new
-    detections with the same laplacian sign within SEARCH_RADIUS, with the
-    usual ratio test (or the lone-candidate distance cap). Matched points
-    adopt the new keypoint; unmatched points are shifted by the offset and
-    keep their old descriptor. The offset is the component-wise median of
-    the matched displacements, or (0, 0) when nothing matched.
+    Each tracked point is matched on its own by `match_descriptors` against
+    the new detections within SEARCH_RADIUS of it, so several points may
+    adopt the same detection. Matched points adopt the new keypoint;
+    unmatched points are shifted by the offset and keep their old
+    descriptor. The offset is the component-wise median of the matched
+    displacements, or (0, 0) when nothing matched.
     """
     _, kps = _detect_described(frame, detector)
     updated = [copy_keypoint(kp) for kp in state.tracked_points]
     matched_to: list[KeyPoint | None] = [None] * len(updated)
     displacements = []
     for idx, kp in enumerate(updated):
-        best = second = None
-        best_d = second_d = np.inf
-        for cand in kps:
-            if cand.laplacian_sign != kp.laplacian_sign:
-                continue
-            if np.hypot(cand.x - kp.x, cand.y - kp.y) > SEARCH_RADIUS:
-                continue
-            if cand.descriptor is None or kp.descriptor is None:
-                continue
-            d = float(np.linalg.norm(kp.descriptor - cand.descriptor))
-            if d < best_d:
-                second, second_d = best, best_d
-                best, best_d = cand, d
-            elif d < second_d:
-                second, second_d = cand, d
-        if best is None:
-            continue
-        ok = (best_d < LONE_MATCH_LIMIT if second is None
-              else second_d > 0.0 and best_d / second_d < detector.ratio)
-        if ok:
+        near = [c for c in kps if np.hypot(c.x - kp.x, c.y - kp.y) <= SEARCH_RADIUS]
+        for match in match_descriptors([kp], near, detector.ratio):
+            best = near[match.index_b]
             matched_to[idx] = best
             displacements.append((best.x - kp.x, best.y - kp.y))
     if displacements:

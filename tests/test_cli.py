@@ -1,5 +1,5 @@
-import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +7,8 @@ import pytest
 from snaketrack import netpbm, synth
 from snaketrack.cli import RunConfig, main, parse_config
 from snaketrack.errors import ConfigError, TrackingLostError
+from snaketrack.snake import SnakeParams
+from snaketrack.surf import DetectorParams
 
 
 # --- synthetic scenes ---
@@ -77,13 +79,23 @@ def test_parse_config_round_trip(tmp_path):
         hessian_threshold=0.001, octaves=2, init_step=2, ratio=0.8,
         frame_glob="img_*.pgm", emit_overlays="yes", dump_keypoints="off")
     cfg = parse_config(path.read_text())
-    assert cfg.alpha == 0.1 and cfg.beta == 0.02 and cfg.lam == 2.0
-    assert cfg.max_iters == 50 and cfg.octaves == 2
+    assert cfg.snake == SnakeParams(alpha=0.1, beta=0.02, lam=2.0, sigma=1.5,
+                                    max_iters=50, stall_window=3,
+                                    max_spacing=10.0, min_contour_size=5)
+    assert cfg.detector == DetectorParams(hessian_threshold=0.001, octaves=2,
+                                          init_step=2, ratio=0.8)
     assert cfg.frame_glob == "img_*.pgm"
     assert cfg.emit_overlays is True
     assert cfg.dump_keypoints is False
-    assert cfg.snake_params().sigma == 1.5
-    assert cfg.detector_params().ratio == 0.8
+
+
+def test_readme_config_block_is_every_key_at_its_default():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    cfg = parse_config(block)
+    assert cfg == RunConfig(input_dir="frames", output_dir="out")
+    keys = [line.partition("=")[0].strip() for line in block.splitlines()]
+    assert sorted(keys) == sorted(key for key, _ in cfg.items())
 
 
 def test_parse_config_unknown_key(tmp_path):
@@ -101,6 +113,9 @@ def test_parse_config_bad_value(tmp_path):
     with pytest.raises(ConfigError) as exc:
         parse_config(path.read_text())
     assert "alpha" in str(exc.value)
+    # a value of the right type that its parameter class rejects
+    with pytest.raises(ConfigError, match="bad parameter: ratio"):
+        parse_config("input_dir = a\noutput_dir = b\nratio = 2\n")
 
 
 def test_parse_config_missing_separator(tmp_path):
@@ -177,10 +192,13 @@ def test_run_single_frame(tmp_path):
 
     lines = (out / "metrics.csv").read_text().splitlines()
     header_lines = [l for l in lines if l.startswith("#")]
-    assert len(header_lines) == len(dataclasses.fields(RunConfig))
-    parsed = parse_config(cfg.read_text())
-    for f in dataclasses.fields(RunConfig):
-        assert f"# {f.name}={getattr(parsed, f.name)}" in header_lines
+    assert header_lines == [
+        f"# input_dir={tmp_path / 'frames'}", "# frame_glob=frame_*.pgm",
+        f"# output_dir={tmp_path / 'out'}", "# alpha=0.05", "# beta=0.01",
+        "# lam=1.0", "# sigma=1.0", "# max_iters=500", "# stall_window=5",
+        "# max_spacing=12.0", "# min_contour_size=4",
+        "# hessian_threshold=0.0002", "# octaves=3", "# init_step=1",
+        "# ratio=0.7", "# emit_overlays=False", "# dump_keypoints=False"]
     data = [l for l in lines if not l.startswith("#")]
     assert data[0] == ("frame,iterations,final_energy,contours,"
                        "splits,discards,offset_x,offset_y")
@@ -224,10 +242,26 @@ def test_run_empty_input_dir(tmp_path, capsys):
     assert "no frames matched" in capsys.readouterr().err
 
 
-def test_run_bad_parameter_value(tmp_path):
+def test_run_bad_parameter_value(tmp_path, capsys):
     make_frames(tmp_path)
-    cfg = full_config(tmp_path, alpha=-1.0)
+    for key, value, message in (("alpha", -1.0, "alpha and beta must be >= 0"),
+                                ("sigma", -1, "sigma must be >= 0"),
+                                ("ratio", 2, "ratio must lie in (0, 1]")):
+        cfg = full_config(tmp_path, **{key: value})
+        assert main(["run", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == f"error: bad parameter: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+
+def test_run_frame_sample_above_maxval(tmp_path, capsys):
+    frames_dir = tmp_path / "frames"
+    frames_dir.mkdir()
+    # maxval 100 but every sample is 200
+    (frames_dir / "frame_00000.pgm").write_bytes(b"P5\n64 64\n100\n" + bytes([200] * 4096))
+    cfg = full_config(tmp_path)
     assert main(["run", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "exceeds maxval" in err
 
 
 def test_run_featureless_frames_exit_init(tmp_path, capsys):

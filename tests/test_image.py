@@ -9,7 +9,6 @@ from snaketrack.image import (
     GRADIENT_MAGNITUDE,
     Image,
     ScalarField,
-    SmoothingParams,
     box_sum,
     box_sum_grid,
     box_sum_slices,
@@ -223,7 +222,7 @@ def test_external_energy_range_and_peak():
     rng = np.random.RandomState(4)
     img = Image(pixels=rng.random_sample((16, 16)))
     lam = 2.5
-    field = external_energy_map(img, SmoothingParams(sigma=1.0, lam=lam))
+    field = external_energy_map(img, 1.0, lam)
     assert field.kind == EXTERNAL_ENERGY
     assert field.values.min() == pytest.approx(-lam)
     assert field.values.max() <= 0.0
@@ -231,12 +230,13 @@ def test_external_energy_range_and_peak():
 
 
 def test_external_energy_flat_image_is_zero():
-    field = external_energy_map(Image(pixels=np.full((8, 8), 0.5)), SmoothingParams())
+    field = external_energy_map(Image(pixels=np.full((8, 8), 0.5)), 1.0, 1.0)
     assert np.all(field.values == 0.0)
 
 
 def test_smoothing_params_validation():
-    with pytest.raises(ValueError):
-        SmoothingParams(sigma=-1.0)
-    with pytest.raises(ValueError):
-        SmoothingParams(lam=0.0)
+    img = Image(pixels=np.full((8, 8), 0.5))
+    with pytest.raises(ValueError, match="sigma"):
+        external_energy_map(img, -1.0, 1.0)
+    with pytest.raises(ValueError, match="lam"):
+        external_energy_map(img, 1.0, 0.0)

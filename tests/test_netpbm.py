@@ -87,6 +87,17 @@ def test_sample_above_maxval_rejected():
         netpbm.decode(b"P2 1 1 100\n101\n")
 
 
+@pytest.mark.parametrize("data", [
+    b"P5\n4 4\n100\n" + bytes([200] * 16),
+    b"P5\n2 1\n254\n" + bytes([0, 255]),
+    b"P6\n2 2\n100\n" + bytes([50] * 11 + [101]),
+    b"P5\n1 1\n300\n" + (301).to_bytes(2, "big"),
+], ids=["p5-maxval100", "p5-maxval254", "p6-maxval100", "p5-maxval300"])
+def test_binary_sample_above_maxval_rejected(data):
+    with pytest.raises(DecodeError, match="exceeds maxval"):
+        netpbm.decode(data)
+
+
 def test_pgm_round_trip(tmp_path):
     rng = np.random.RandomState(0)
     gray = rng.randint(0, 256, size=(5, 7)) / 255.0

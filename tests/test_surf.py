@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -310,6 +311,11 @@ def test_match_lone_candidate_distance_gate():
     far.descriptor = unit_desc(1)
     assert len(match_descriptors([a], [close])) == 1
     assert match_descriptors([a], [far]) == []  # distance sqrt(2) >= 0.5
+
+
+def test_match_default_ratio_is_the_detector_default():
+    default = inspect.signature(match_descriptors).parameters["ratio"].default
+    assert default == DetectorParams().ratio
 
 
 def test_match_sign_gate():

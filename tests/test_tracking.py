@@ -5,7 +5,9 @@ from snaketrack.errors import TrackingLostError
 from snaketrack.image import Image
 from snaketrack.snake import ContourResult, SegmentationResult, SnakeParams
 from snaketrack.surf import DetectorParams, KeyPoint
+from snaketrack import tracking
 from snaketrack.tracking import (
+    SEARCH_RADIUS,
     TrackState,
     init_tracking,
     propagate_points,
@@ -115,3 +117,45 @@ def test_frame_index_progression():
     for expect in (1, 2, 3):
         state, _ = track_frame(state, frame, detector, snake)
         assert state.frame_index == expect
+
+
+def _described(x, y, axis, length=1.0):
+    descriptor = np.zeros(64)
+    descriptor[0] = 1.0
+    descriptor[axis] += length
+    return KeyPoint(x=x, y=y, scale=2.0, response=1.0, laplacian_sign=1,
+                    descriptor=descriptor)
+
+
+def propagate_against(monkeypatch, tracked, detections, detector=DETECTOR):
+    """propagate_points with the frame's detections replaced by `detections`."""
+    monkeypatch.setattr(tracking, "_detect_described",
+                        lambda frame, params: (None, detections))
+    state = TrackState(frame_index=0, tracked_points=tracked, prev_result=None)
+    return propagate_points(state, None, detector)
+
+
+def test_propagate_matches_only_within_search_radius(monkeypatch):
+    point = _described(50.0, 50.0, 0, 0.0)
+    edge = _described(50.0 + SEARCH_RADIUS, 50.0, 0, 0.0)
+    beyond = _described(50.0 + SEARCH_RADIUS + 0.5, 50.0, 0, 0.0)
+    assert propagate_against(monkeypatch, [point], [edge])[1] == (SEARCH_RADIUS, 0.0)
+    assert propagate_against(monkeypatch, [point], [beyond])[1] == (0.0, 0.0)
+
+
+def test_propagate_applies_the_detector_ratio(monkeypatch):
+    point = _described(50.0, 50.0, 0, 0.0)
+    # distances 0.65 and 1.0 from the point's descriptor
+    near = [_described(52.0, 50.0, 1, 0.65), _described(60.0, 50.0, 2, 1.0)]
+    assert propagate_against(monkeypatch, [point], near,
+                             DetectorParams(ratio=0.7))[1] == (2.0, 0.0)
+    assert propagate_against(monkeypatch, [point], near,
+                             DetectorParams(ratio=0.6))[1] == (0.0, 0.0)
+
+
+def test_propagate_lets_points_share_a_detection(monkeypatch):
+    tracked = [_described(50.0, 50.0, 0, 0.0), _described(51.0, 50.0, 0, 0.0)]
+    target = _described(53.0, 50.0, 0, 0.0)
+    points, offset = propagate_against(monkeypatch, tracked, [target])
+    assert offset == (2.5, 0.0)
+    assert [(p.x, p.y) for p in points] == [(53.0, 50.0), (53.0, 50.0)]
