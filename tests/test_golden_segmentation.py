@@ -14,7 +14,12 @@ The scenes are:
 - `resume_clamped`: resume_segmentation on a disk with carried points
   outside the frame, whose clamping makes adjacent and non-adjacent
   coincidences, plus a contour carried below min_contour_size;
-- `track_square96`: the acceptance tracking sequence (criterion 6).
+- `track_square96`: the acceptance tracking sequence (criterion 6);
+- `resample_rejects`: 8 agents at random pixels of a zero 40x40 field with
+  alpha=0, beta=0.05, where resampling rejects insertions that would raise
+  the energy (seeds 0 and 44, each followed by accepted insertions, so the
+  later agent ids show whether a rejection used up an id) and skips
+  midpoints the contour already holds (seed 1307).
 
 Regenerate only for a stated change of segmentation or tracking behaviour:
 
@@ -39,6 +44,7 @@ GOLDEN = Path(__file__).with_name("golden_segmentation.json")
 
 WELL_SEEDS = (2, 14, 33)
 STIFF_WELL_SEEDS = (1, 9, 25)
+RESAMPLE_SEEDS = (0, 44, 1307)
 
 
 def _seed(x, y):
@@ -96,6 +102,16 @@ def _wells(seed, params):
     return _evolve(seeds, ScalarField(vals, EXTERNAL_ENERGY), params)
 
 
+def _resample_rejects():
+    field = ScalarField(np.zeros((40, 40)), EXTERNAL_ENERGY)
+    runs = []
+    for seed in RESAMPLE_SEEDS:
+        rng = np.random.default_rng(seed)
+        seeds = [_seed(x, y) for x, y in rng.integers(0, 40, (8, 2))]
+        runs.append(_evolve(seeds, field, SnakeParams(alpha=0.0, beta=0.05)))
+    return runs
+
+
 def _resume_clamped():
     img = Image(pixels=synth.disk_image(48, 48))
     carried = [
@@ -130,7 +146,7 @@ def _track_square96():
 
 
 SCENES = {"criterion7": _criterion7, "resume_clamped": _resume_clamped,
-          "track_square96": _track_square96}
+          "resample_rejects": _resample_rejects, "track_square96": _track_square96}
 SCENES.update({f"wells{s}": (lambda s=s: _wells(s, SnakeParams())) for s in WELL_SEEDS})
 SCENES.update({f"wells{s}_stiff": (lambda s=s: _wells(s, SnakeParams(alpha=0.2)))
                for s in STIFF_WELL_SEEDS})
