@@ -84,7 +84,7 @@ def test_box_sum_clamps_and_empties():
     assert box_sum(ii, 0, -5, 3, -1) == 0.0
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(
     st.integers(3, 16),
     st.integers(3, 16),

@@ -140,7 +140,7 @@ def p2_rasters(draw):
     return data, np.array(samples, dtype=np.float64).reshape(height, width), maxval
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(p2_rasters())
 def test_p2_round_trip_bitwise(raster):
     data, samples, maxval = raster
@@ -161,7 +161,7 @@ def sample_reads(monkeypatch):
     return calls
 
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50)
 @given(p2_rasters())
 def test_split_path_equals_tokenizer_bitwise(raster):
     # a comment after the last sample is never read, but sends the raster

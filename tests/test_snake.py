@@ -1,7 +1,10 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from snaketrack.errors import InitializationError
 from snaketrack.image import EXTERNAL_ENERGY, GRADIENT_MAGNITUDE, Image, ScalarField
@@ -25,7 +28,7 @@ from snaketrack.snake import (
     total_energy,
 )
 from snaketrack.surf import KeyPoint
-from snaketrack import synth
+from snaketrack import snake, synth
 
 
 def seed(x, y):
@@ -326,3 +329,76 @@ def test_resume_discards_undersized_carried_contour():
     result = resume_segmentation(img, carried, SnakeParams())
     assert result.contours == ()
     assert any(e.kind == DISCARD for e in result.events)
+
+
+# ---------------------------------------------------------------------------
+# supervisor invariants over whole runs
+
+PARAMS = st.builds(SnakeParams, alpha=st.sampled_from((0.0, 0.05, 0.2)),
+                   beta=st.sampled_from((0.0, 0.01, 0.05)),
+                   max_spacing=st.sampled_from((0.0, 4.0, 12.0)))
+
+
+def wells_field(rng, size):
+    vals = -0.05 * rng.random((size, size))
+    for _ in range(3):
+        vals[rng.integers(0, size), rng.integers(0, size)] = -rng.uniform(0.5, 1.0)
+    return ScalarField(values=vals, kind=EXTERNAL_ENERGY)
+
+
+def assert_supervisor_invariants(state, field, params, start):
+    for c in state.contours.values():
+        pts = [state.agents[a].pos for a in c.agent_ids]
+        assert len(set(pts)) == len(pts), "contour-mates share a pixel"
+    assert sum(len(c.agent_ids) for c in state.contours.values()) == len(state.agents)
+    added = sum(len(e.agent_ids) for e in state.events if e.kind == RESAMPLE)
+    removed = sum(len(e.agent_ids) for e in state.events if e.kind == DISCARD)
+    assert len(state.agents) == start + added - removed
+    recomputed = total_energy(state, state.positions(), field, params)
+    assert abs(state.current_energy - recomputed) <= 1e-9
+    hist = state.energy_history
+    assert all(b <= a for a, b in zip(hist, hist[1:]))
+
+
+@settings(max_examples=40)
+@given(size=st.integers(12, 32), field_seed=st.integers(0, 2**32 - 1),
+       pts=st.lists(st.tuples(st.integers(0, 31), st.integers(0, 31)),
+                    min_size=8, max_size=8),
+       params=PARAMS)
+def test_sweeps_keep_supervisor_invariants(size, field_seed, pts, params):
+    field = wells_field(np.random.default_rng(field_seed), size)
+    seeds = [seed(min(x, size - 1), min(y, size - 1)) for x, y in pts]
+    state = init_agents(seeds, params.min_contour_size, size, size)
+    start = len(state.agents)
+    state.current_energy = total_energy(state, state.positions(), field, params)
+    state.energy_history.append(state.current_energy)
+    while not state.converged:
+        step(state, field, params)
+        assert_supervisor_invariants(state, field, params, start)
+
+
+@settings(max_examples=40)
+@given(size=st.integers(16, 32), image_seed=st.integers(0, 2**32 - 1),
+       contours=st.lists(st.lists(st.tuples(st.integers(-6, 37), st.integers(-6, 37)),
+                                  min_size=3, max_size=12),
+                         min_size=1, max_size=3),
+       params=PARAMS)
+def test_resume_keeps_supervisor_invariants(size, image_seed, contours, params):
+    # points outside the frame clamp onto shared border pixels
+    img = Image(pixels=np.random.default_rng(image_seed).random((size, size)))
+    carried, next_id = [], 0
+    for cid, pts in enumerate(contours):
+        ids = tuple(range(next_id, next_id + len(pts)))
+        next_id += len(pts)
+        carried.append(ContourResult(id=cid, agent_ids=ids, points=tuple(pts)))
+    steps = []
+
+    def checked_step(state, field, params):
+        events = step(state, field, params)
+        assert_supervisor_invariants(state, field, params, next_id)
+        steps.append(state.iteration)
+        return events
+
+    with mock.patch.object(snake, "step", checked_step):
+        result = resume_segmentation(img, carried, params)
+    assert steps and steps[-1] == result.iterations
