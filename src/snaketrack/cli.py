@@ -117,9 +117,8 @@ def parse_config(text: str) -> RunConfig:
     return RunConfig(**own, **params)
 
 
-def _draw_line(rgb: np.ndarray, x0: int, y0: int, x1: int, y1: int,
-               color=(255, 0, 0)) -> None:
-    """Bresenham segment, endpoints included; out-of-bounds pixels skipped."""
+def _draw_line(rgb: np.ndarray, x0: int, y0: int, x1: int, y1: int) -> None:
+    """Red Bresenham segment, endpoints included; out-of-bounds pixels skipped."""
     h, w = rgb.shape[:2]
     dx = abs(x1 - x0)
     dy = -abs(y1 - y0)
@@ -129,7 +128,7 @@ def _draw_line(rgb: np.ndarray, x0: int, y0: int, x1: int, y1: int,
     x, y = x0, y0
     while True:
         if 0 <= x < w and 0 <= y < h:
-            rgb[y, x] = color
+            rgb[y, x] = (255, 0, 0)
         if x == x1 and y == y1:
             break
         e2 = 2 * err

@@ -138,14 +138,12 @@ def read(path) -> np.ndarray:
         return decode(fh.read())
 
 
-def write_pgm(path, gray01: np.ndarray, maxval: int = 255) -> None:
-    """Write a [0, 1] grayscale array as a binary (P5) graymap."""
-    if not 1 <= maxval <= 255:
-        raise ValueError("maxval must be in 1..255 for single-byte output")
-    levels = np.rint(np.clip(gray01, 0.0, 1.0) * maxval).astype(np.uint8)
+def write_pgm(path, gray01: np.ndarray) -> None:
+    """Write a [0, 1] grayscale array as a binary (P5) graymap, maxval 255."""
+    levels = np.rint(np.clip(gray01, 0.0, 1.0) * 255).astype(np.uint8)
     h, w = levels.shape
     with open(path, "wb") as fh:
-        fh.write(b"P5\n%d %d\n%d\n" % (w, h, maxval))
+        fh.write(b"P5\n%d %d\n255\n" % (w, h))
         fh.write(levels.tobytes())
 
 
