@@ -20,6 +20,13 @@ keeps the recorded energy history non-increasing by construction; the
 history is accumulated incrementally from the accepted deltas, so the
 monotonicity is exact in floating point as well.
 
+Between moves no two agents of one contour share a pixel: init_agents places
+distinct pixels, a move onto a contour-mate is settled with it, a merge or
+split leaves distinct pixels, and resampling skips midpoints the contour
+already holds. The one exception is resume_segmentation, whose clamping of
+carried points into the frame can make contour-mates coincide; it settles
+those before the first sweep.
+
 Optional resampling inserts a midpoint agent into any cyclic edge longer
 than max_spacing, gated by the same non-increase rule and capped at 4x the
 starting agent count.
@@ -235,20 +242,21 @@ def _neighbor_positions(state: SupervisorState, agent: ExplorerAgent):
     return am2.x, am2.y, am1.x, am1.y, ap1.x, ap1.y, ap2.x, ap2.y
 
 
-def propose_move(agent: ExplorerAgent, state: SupervisorState,
-                 field: ScalarField, params: SnakeParams) -> tuple[int, int]:
-    """Greedy local move: first strict minimizer over the 9-candidate scan.
+def _best_move(agent: ExplorerAgent, state: SupervisorState, field: ScalarField,
+               params: SnakeParams) -> tuple[tuple[int, int], float]:
+    """The greedy scan: its chosen pixel and the local energy change to it.
 
-    Candidates outside the image are skipped; ties resolve to the earliest
-    candidate in the scan order, so staying put wins any tie.
+    Staying put is the first candidate and always in bounds, so its energy
+    is the baseline of the change.
     """
     xm2, ym2, xm1, ym1, xp1, yp1, xp2, yp2 = _neighbor_positions(state, agent)
     vals = field.values
     w, h = state.width, state.height
     alpha, beta = params.alpha, params.beta
-    best = None
-    best_e = math.inf
-    for dx, dy in NEIGHBOR_SCAN:
+    best = (agent.x, agent.y)
+    stay_e = best_e = _local_energy(agent.x, agent.y, xm2, ym2, xm1, ym1, xp1, yp1,
+                                    xp2, yp2, vals[agent.y, agent.x], alpha, beta)
+    for dx, dy in NEIGHBOR_SCAN[1:]:
         x = agent.x + dx
         y = agent.y + dy
         if not (0 <= x < w and 0 <= y < h):
@@ -258,7 +266,17 @@ def propose_move(agent: ExplorerAgent, state: SupervisorState,
         if e < best_e:
             best_e = e
             best = (x, y)
-    return best
+    return best, float(best_e - stay_e)
+
+
+def propose_move(agent: ExplorerAgent, state: SupervisorState,
+                 field: ScalarField, params: SnakeParams) -> tuple[int, int]:
+    """Greedy local move: first strict minimizer over the 9-candidate scan.
+
+    Candidates outside the image are skipped; ties resolve to the earliest
+    candidate in the scan order, so staying put wins any tie.
+    """
+    return _best_move(agent, state, field, params)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -334,14 +352,11 @@ def init_agents(points, min_size: int, width: int, height: int) -> SupervisorSta
 # topology changes
 
 
-def _cycle_positions(state: SupervisorState, ids: list[int]) -> dict[int, tuple[int, int]]:
-    return {aid: (state.agents[aid].x, state.agents[aid].y) for aid in ids}
-
-
-def _contour_energy(state: SupervisorState, ids: list[int], field: ScalarField,
-                    params: SnakeParams) -> float:
-    c = Contour(id=-1, agent_ids=list(ids))
-    positions = _cycle_positions(state, ids)
+def _cycle_energy(pts: list[tuple[int, int]], field: ScalarField,
+                  params: SnakeParams) -> float:
+    """Snake energy of one closed cycle through the pixels pts, in order."""
+    positions = dict(enumerate(pts))
+    c = Contour(id=-1, agent_ids=list(positions))
     return (internal_energy(c, positions, params.alpha, params.beta)
             + external_energy(c, positions, field))
 
@@ -435,10 +450,11 @@ def _same_contour_occupant(state: SupervisorState, agent: ExplorerAgent,
 def _settlement_delta(state: SupervisorState, contour: Contour, i: int, j: int,
                       field: ScalarField, params: SnakeParams) -> float:
     """Energy change the collision settlement at (i, j) would cause."""
+    def energy(ids):
+        return _cycle_energy([state.agents[aid].pos for aid in ids], field, params)
+
     _, kept, _ = _settlement(contour, i, j, params.min_contour_size)
-    before = _contour_energy(state, contour.agent_ids, field, params)
-    after = sum(_contour_energy(state, arc, field, params) for arc in kept)
-    return after - before
+    return sum(energy(arc) for arc in kept) - energy(contour.agent_ids)
 
 
 # ---------------------------------------------------------------------------
@@ -455,23 +471,14 @@ def step(state: SupervisorState, field: ScalarField, params: SnakeParams) -> lis
     if state.converged:
         return []
     first_event = len(state.events)
-    vals = field.values
     moved = 0
     for aid in sorted(state.agents):
         agent = state.agents.get(aid)
         if agent is None:
             continue  # discarded earlier in this sweep
-        target = propose_move(agent, state, field, params)
+        target, delta = _best_move(agent, state, field, params)
         if target == (agent.x, agent.y):
             continue
-        xm2, ym2, xm1, ym1, xp1, yp1, xp2, yp2 = _neighbor_positions(state, agent)
-        here = _local_energy(agent.x, agent.y, xm2, ym2, xm1, ym1,
-                             xp1, yp1, xp2, yp2, vals[agent.y, agent.x],
-                             params.alpha, params.beta)
-        there = _local_energy(target[0], target[1], xm2, ym2, xm1, ym1,
-                              xp1, yp1, xp2, yp2, vals[target[1], target[0]],
-                              params.alpha, params.beta)
-        delta = float(there - here)
         occupant = _same_contour_occupant(state, agent, target)
         if occupant is None:
             agent.x, agent.y = target
@@ -492,9 +499,8 @@ def step(state: SupervisorState, field: ScalarField, params: SnakeParams) -> lis
             moved += 1
         else:
             agent.x, agent.y = old_pos
-    _settle_leftover_coincidences(state, field, params)
-    if params.max_spacing > 0.0:
-        _resample_all(state, field, params)
+    for cid in sorted(state.contours):
+        resample_contour(state, state.contours[cid], field, params)
     state.iteration += 1
     state.stall = state.stall + 1 if moved == 0 else 0
     state.energy_history.append(state.current_energy)
@@ -517,12 +523,8 @@ def _find_coincidence(state: SupervisorState, contour: Contour):
     return None
 
 
-def _settle_leftover_coincidences(state: SupervisorState, field: ScalarField,
-                                  params: SnakeParams) -> None:
-    """Post-sweep safety net for states built with coincidences already present.
-
-    Moves settle their own collisions, so this normally finds nothing.
-    """
+def _settle_clamped_coincidences(state: SupervisorState, params: SnakeParams) -> None:
+    """Settle every same-contour coincidence that clamping at resume made."""
     progress = True
     while progress:
         progress = False
@@ -533,10 +535,7 @@ def _settle_leftover_coincidences(state: SupervisorState, field: ScalarField,
             hit = _find_coincidence(state, contour)
             if hit is None:
                 continue
-            i, j = hit
-            state.current_energy += _settlement_delta(state, contour, i, j,
-                                                      field, params)
-            split_contour(state, contour, i, j, params)
+            split_contour(state, contour, *hit, params)
             progress = True
 
 
@@ -553,51 +552,37 @@ def resample_contour(state: SupervisorState, contour: Contour,
         return []
     cap = RESAMPLE_CAP_FACTOR * state.initial_agent_count
     inserted: list[int] = []
-    changed = True
-    while changed:
-        changed = False
+    while len(state.agents) < cap:
         ids = contour.agent_ids
-        n = len(ids)
-        for k in range(n):
-            if len(state.agents) >= cap:
-                break
-            a = state.agents[ids[k]]
-            b = state.agents[ids[(k + 1) % n]]
-            if math.hypot(b.x - a.x, b.y - a.y) <= params.max_spacing:
+        pts = [state.agents[aid].pos for aid in ids]
+        taken = set(pts)
+        before = None  # the pass's energy, computed at its first trial
+        for k, ((ax, ay), (bx, by)) in enumerate(zip(pts, pts[1:] + pts[:1])):
+            if math.hypot(bx - ax, by - ay) <= params.max_spacing:
                 continue
-            mx = _iround((a.x + b.x) / 2.0)
-            my = _iround((a.y + b.y) / 2.0)
-            taken = {(state.agents[q].x, state.agents[q].y) for q in ids}
-            if (mx, my) in taken:
+            mid = (_iround((ax + bx) / 2.0), _iround((ay + by) / 2.0))
+            if mid in taken:
                 continue
-            before = _contour_energy(state, ids, field, params)
-            trial = ids[:k + 1] + [-1] + ids[k + 1:]
-            aid = state.new_agent_id()
-            state.agents[aid] = ExplorerAgent(id=aid, x=mx, y=my,
-                                              contour_id=contour.id)
-            trial[k + 1] = aid
-            after = _contour_energy(state, trial, field, params)
-            if after - before <= 0.0:
-                contour.agent_ids = trial
-                contour.canonicalize()
-                state.current_energy += after - before
+            if before is None:
+                before = _cycle_energy(pts, field, params)
+            delta = _cycle_energy(pts[:k + 1] + [mid] + pts[k + 1:], field, params) - before
+            if delta <= 0.0:
+                # the new id is the largest, so the cycle stays canonical
+                aid = state.new_agent_id()
+                state.agents[aid] = ExplorerAgent(id=aid, x=mid[0], y=mid[1],
+                                                  contour_id=contour.id)
+                ids.insert(k + 1, aid)
+                state.current_energy += delta
                 inserted.append(aid)
-                changed = True
                 break
-            del state.agents[aid]
-            state.next_agent_id = aid  # id was never used
+        else:
+            break
     if inserted:
         event = Event(state.iteration, RESAMPLE, contour_ids=(contour.id,),
                       agent_ids=tuple(inserted))
         state.events.append(event)
         return [event]
     return []
-
-
-def _resample_all(state: SupervisorState, field: ScalarField,
-                  params: SnakeParams) -> None:
-    for cid in sorted(state.contours):
-        resample_contour(state, state.contours[cid], field, params)
 
 
 # ---------------------------------------------------------------------------
@@ -671,7 +656,7 @@ def resume_segmentation(img: Image, carried, params: SnakeParams) -> Segmentatio
     state.initial_agent_count = max(len(state.agents), 1)
     # settle clamp-induced coincidences and undersized contours up front so
     # the recorded energy history starts from a clean state
-    _settle_leftover_coincidences(state, field, params)
+    _settle_clamped_coincidences(state, params)
     for cid in sorted(state.contours):
         contour = state.contours[cid]
         if len(contour.agent_ids) < params.min_contour_size:
