@@ -192,8 +192,6 @@ def run_command(args) -> int:
         print(f"error: no frames matched {cfg.frame_glob!r} in {cfg.input_dir}",
               file=sys.stderr)
         return EXIT_CONFIG
-    emit_overlays = cfg.emit_overlays or args.emit_overlays
-    dump_keypoints = cfg.dump_keypoints or args.dump_keypoints
     out_dir = Path(cfg.output_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -201,9 +199,9 @@ def run_command(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    if emit_overlays:
+    if cfg.emit_overlays:
         (out_dir / "overlays").mkdir(exist_ok=True)
-    if dump_keypoints:
+    if cfg.dump_keypoints:
         (out_dir / "keypoints").mkdir(exist_ok=True)
 
     state: TrackState | None = None
@@ -230,11 +228,11 @@ def run_command(args) -> int:
                 jf.flush()
                 mf.write(_metrics_row(index, result, offset) + "\n")
                 mf.flush()
-                if emit_overlays:
+                if cfg.emit_overlays:
                     rgb = render_overlay(gray, result)
                     netpbm.write_ppm(out_dir / "overlays" / f"frame_{index:05d}.ppm",
                                      rgb)
-                if dump_keypoints:
+                if cfg.dump_keypoints:
                     lines = [format_keypoint(kp) for kp in state.tracked_points]
                     (out_dir / "keypoints" / f"frame_{index:05d}.txt").write_text(
                         "\n".join(lines) + "\n")
@@ -278,10 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="process a frame directory")
     run_p.add_argument("--config", required=True, help="key=value config file")
-    run_p.add_argument("--emit-overlays", action="store_true",
-                       help="write contour overlay PPMs")
-    run_p.add_argument("--dump-keypoints", action="store_true",
-                       help="write tracked keypoints per frame")
     run_p.set_defaults(func=run_command)
 
     synth_p = sub.add_parser("synth", help="render synthetic frames")

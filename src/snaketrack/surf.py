@@ -16,6 +16,7 @@ Scale equals 1.2 * L / 9, i.e. the 9x9 filter corresponds to sigma = 1.2.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
@@ -35,7 +36,6 @@ ORIENTATION_SIGMA = 2.0     # Gaussian weight, in units of scale
 ORIENTATION_WINDOW = math.pi / 3.0
 ORIENTATION_STEP = math.pi / 36.0
 
-DESCRIPTOR_SPAN = 20        # descriptor window side, in units of scale
 DESCRIPTOR_SIGMA = 3.3      # Gaussian weight, in units of scale
 LONE_MATCH_LIMIT = 0.5      # max distance for a single sign-compatible candidate
 
@@ -141,8 +141,16 @@ def _octave_steps(width: int, height: int, params: DetectorParams) -> list[tuple
     return runs
 
 
-def _refine(cube: np.ndarray) -> np.ndarray | None:
-    """Quadratic sub-sample offset from a 3x3x3 response cube (s, y, x)."""
+def _refine(resp: np.ndarray, s, y, x) -> np.ndarray:
+    """Quadratic sub-sample offsets (ds, dy, dx) of the maxima at (s, y, x).
+
+    Row k fits the 3x3x3 cube of `resp` centred on (s[k], y[k], x[k]), in
+    layer/grid units; it stays zero, keeping the measured sample, where the
+    cube's Hessian is singular or the offset exceeds one sample.
+    """
+    # cube[i, j, l][k] = resp[s[k] + i - 1, y[k] + j - 1, x[k] + l - 1]
+    cube = np.lib.stride_tricks.sliding_window_view(resp, (3, 3, 3))[s - 1, y - 1, x - 1]
+    cube = cube.transpose(1, 2, 3, 0)
     grad = 0.5 * np.array([
         cube[2, 1, 1] - cube[0, 1, 1],
         cube[1, 2, 1] - cube[1, 0, 1],
@@ -156,14 +164,16 @@ def _refine(cube: np.ndarray) -> np.ndarray | None:
     dsx = 0.25 * (cube[2, 1, 2] - cube[2, 1, 0] - cube[0, 1, 2] + cube[0, 1, 0])
     dyx = 0.25 * (cube[1, 2, 2] - cube[1, 2, 0] - cube[1, 0, 2] + cube[1, 0, 0])
     hess = np.array([[dss, dsy, dsx], [dsy, dyy, dyx], [dsx, dyx, dxx]])
-    try:
-        offset = np.linalg.solve(hess, -grad)
-    except np.linalg.LinAlgError:
-        return None
-    if np.abs(offset).max() > 1.0:
-        # wild extrapolation, keep the measured location
-        return None
-    return offset  # (ds, dy, dx) in layer/grid units
+    offsets = np.zeros((len(center), 3))
+    for k in range(len(center)):
+        try:
+            offset = np.linalg.solve(hess[..., k], -grad[:, k])
+        except np.linalg.LinAlgError:
+            continue
+        if np.abs(offset).max() > 1.0:
+            continue  # wild extrapolation, keep the measured location
+        offsets[k] = offset
+    return offsets
 
 
 def detect_keypoints(ii: IntegralImage, params: DetectorParams) -> list[KeyPoint]:
@@ -181,7 +191,7 @@ def detect_keypoints(ii: IntegralImage, params: DetectorParams) -> list[KeyPoint
     # pad for the largest filter that runs, not for params.octaves
     pad = (_layer_sizes(runs[-1][0])[-1] - 1) // 2
     ext = edge_extended(ii, pad)
-    found: list[KeyPoint] = []
+    columns = []        # per octave: x, y, scale, response, laplacian_sign
     layers: list = []
     for octave, step in runs:
         sizes = _layer_sizes(octave)
@@ -191,41 +201,29 @@ def detect_keypoints(ii: IntegralImage, params: DetectorParams) -> list[KeyPoint
         reused = [(det[::2, ::2], tr[::2, ::2]) for det, tr in layers[1::2]]
         layers = reused + [_hessian_layer(ext, pad, w, h, size, step)
                            for size in sizes[len(reused):]]
-        resp = np.stack([det for det, _ in layers])
+        resp, trace = (np.stack(part) for part in zip(*layers))
         ny, nx = resp.shape[1:]
-        for mid in (1, 2):
-            center = resp[mid][1:-1, 1:-1]
-            mask = center > params.hessian_threshold
+        # both middle layers at once, each against its 26 neighbors
+        center = resp[1:3, 1:-1, 1:-1]
+        mask = center > params.hessian_threshold
+        for ds, dy, dx in itertools.product((-1, 0, 1), repeat=3):
             if not mask.any():
-                continue
-            for dz in (mid - 1, mid, mid + 1):
-                for dy in (-1, 0, 1):
-                    for dx in (-1, 0, 1):
-                        if dz == mid and dy == 0 and dx == 0:
-                            continue
-                        neighbor = resp[dz][1 + dy:ny - 1 + dy, 1 + dx:nx - 1 + dx]
-                        mask &= center > neighbor
-                        if not mask.any():
-                            break
-            for gy, gx in np.argwhere(mask):
-                gy += 1
-                gx += 1
-                cube = resp[mid - 1:mid + 2, gy - 1:gy + 2, gx - 1:gx + 2]
-                offset = _refine(cube)
-                if offset is None:
-                    ds = dy = dx = 0.0
-                else:
-                    ds, dy, dx = offset
-                size_eff = sizes[mid] + ds * gap
-                found.append(KeyPoint(
-                    x=float((gx + dx) * step),
-                    y=float((gy + dy) * step),
-                    scale=BASE_SCALE * size_eff / BASE_FILTER,
-                    response=float(resp[mid][gy, gx]),
-                    laplacian_sign=1 if layers[mid][1][gy, gx] >= 0.0 else -1,
-                ))
-    found.sort(key=lambda kp: (-kp.response, kp.y, kp.x))
-    return found
+                break
+            if ds or dy or dx:
+                mask &= center > resp[1 + ds:3 + ds, 1 + dy:ny - 1 + dy, 1 + dx:nx - 1 + dx]
+        s, y, x = (axis + 1 for axis in np.nonzero(mask))
+        offsets = _refine(resp, s, y, x)
+        columns.append((
+            (x + offsets[:, 2]) * step,
+            (y + offsets[:, 1]) * step,
+            BASE_SCALE * (np.array(sizes)[s] + offsets[:, 0] * gap) / BASE_FILTER,
+            resp[s, y, x],
+            np.where(trace[s, y, x] >= 0.0, 1, -1),
+        ))
+    x, y, scale, response, sign = (np.concatenate(c) for c in zip(*columns))
+    order = np.lexsort((x, y, -response))
+    return [KeyPoint(*fields) for fields in zip(
+        *(c[order].tolist() for c in (x, y, scale, response, sign)))]
 
 
 def _haar_x(padded, w, h, cx, cy, half):

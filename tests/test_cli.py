@@ -208,10 +208,13 @@ def test_run_single_frame(tmp_path):
 
 def test_run_overlays_and_keypoints(tmp_path):
     make_frames(tmp_path)
-    cfg = full_config(tmp_path)
-    rc = main(["run", "--config", str(cfg), "--emit-overlays", "--dump-keypoints"])
+    cfg = full_config(tmp_path, emit_overlays="true", dump_keypoints="true")
+    rc = main(["run", "--config", str(cfg)])
     assert rc == 0
     out = tmp_path / "out"
+    header_lines = [l for l in (out / "metrics.csv").read_text().splitlines()
+                    if l.startswith("#")]
+    assert header_lines[-2:] == ["# emit_overlays=True", "# dump_keypoints=True"]
 
     raw = (out / "overlays" / "frame_00000.ppm").read_bytes()
     header = b"P6\n128 128\n255\n"

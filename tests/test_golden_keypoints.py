@@ -6,8 +6,10 @@ Python floats exactly; detection must match it bit for bit.
 `golden_descriptors.json` holds, per scene and in the same keypoint order,
 [orientation, orientation_fallback, 64 descriptor values]. The fallback
 flags must match exactly and the floats within DESCRIBE_TOLERANCE, which
-allows for a change of summation order only. Regenerate both only for a
-stated change of detector or descriptor behaviour:
+allows for a change of summation order only. Running this file records
+every scene that a golden file lacks and leaves the recorded ones as they
+are; re-record a scene, by deleting its entries first, only for a stated
+change of detector or descriptor behaviour:
 
     PYTHONPATH=src python tests/test_golden_keypoints.py
 """
@@ -52,7 +54,20 @@ def _noise77x50():
     return Image(pixels=pixels), DetectorParams(init_step=2)
 
 
-SCENES = {"square96": _square96, "blobs192": _blobs192, "noise77x50": _noise77x50}
+def _disk128():
+    # criterion 4's disk at default parameters: tied responses pin the
+    # (y, x) order, and some refinements exceed one sample
+    return Image(pixels=synth.disk_image(128, 128)), DetectorParams()
+
+
+def _noise160x120():
+    # both laplacian signs over four octaves
+    pixels = np.random.RandomState(2013).uniform(0.0, 1.0, (120, 160))
+    return Image(pixels=pixels), DetectorParams(octaves=4)
+
+
+SCENES = {"square96": _square96, "blobs192": _blobs192, "noise77x50": _noise77x50,
+          "disk128": _disk128, "noise160x120": _noise160x120}
 
 
 def dump(name):
@@ -90,5 +105,8 @@ def test_descriptors_match_golden(name):
 
 if __name__ == "__main__":
     for path, writer in ((GOLDEN, dump), (GOLDEN_DESCRIPTORS, dump_descriptors)):
-        path.write_text(json.dumps({name: writer(name) for name in sorted(SCENES)},
-                                   indent=1) + "\n")
+        recorded = json.loads(path.read_text()) if path.exists() else {}
+        for name in SCENES:
+            if name not in recorded:
+                recorded[name] = writer(name)
+        path.write_text(json.dumps(dict(sorted(recorded.items())), indent=1) + "\n")

@@ -8,6 +8,8 @@ from snaketrack import surf, synth
 from snaketrack.errors import ExtremitySelectionError
 from snaketrack.image import Image, box_sum_grid, edge_extended, integral_image
 from snaketrack.surf import (
+    BASE_FILTER,
+    BASE_SCALE,
     DetectorParams,
     KeyPoint,
     assign_orientation,
@@ -185,6 +187,50 @@ def test_octaves_that_do_not_fit_leave_table_and_keypoints_alone(monkeypatch):
             detect_keypoints(ii, DetectorParams(octaves=10))]
     assert wide == key and key
     assert tables == [(96 + 1 + 2 * 97,) * 2] * 2
+
+
+def singular_cube():
+    # a strict maximum whose Hessian has dss = dyy = -2 and dsy = 2
+    cube = np.full((3, 3, 3), -3.0)
+    cube[1, 1, 1] = 0.0
+    for s, y, x in ((0, 1, 1), (2, 1, 1), (1, 0, 1), (1, 2, 1), (1, 1, 0), (1, 1, 2)):
+        cube[s, y, x] = -1.0
+    cube[2, 2, 1] = cube[0, 0, 1] = -0.5
+    cube[2, 0, 1] = cube[0, 2, 1] = -4.5
+    return cube
+
+
+def regular_cube():
+    # a strict maximum pulled a sixth of a sample towards +x
+    cube = np.full((3, 3, 3), -3.0)
+    cube[1, 1, 1] = 0.0
+    for s, y, x in ((0, 1, 1), (2, 1, 1), (1, 0, 1), (1, 2, 1), (1, 1, 0)):
+        cube[s, y, x] = -1.0
+    cube[1, 1, 2] = -0.5
+    return cube
+
+
+def test_singular_hessian_keeps_grid_position_and_others_refine(monkeypatch):
+    hess = singular_cube()
+    dss = hess[2, 1, 1] - 2.0 * hess[1, 1, 1] + hess[0, 1, 1]
+    dsy = 0.25 * (hess[2, 2, 1] - hess[2, 0, 1] - hess[0, 2, 1] + hess[0, 0, 1])
+    assert (dss, dsy) == (-2.0, 2.0)
+    # 4 layers of a 12x12 grid, zero (below threshold) except the two cubes:
+    # the singular one centred on layer 1 at (y, x) = (3, 3), the regular one
+    # on layer 2 at (8, 7)
+    det = np.zeros((4, 12, 12))
+    det[0:3, 2:5, 2:5] = 1.0 + singular_cube()
+    det[1:4, 7:10, 6:9] = 1.0 + regular_cube()
+    sizes = surf._layer_sizes(1)
+    monkeypatch.setattr(surf, "_hessian_layer",
+                        lambda ext, pad, w, h, size, step:
+                        (det[sizes.index(size)], np.ones((12, 12))))
+    ii = integral_image(Image(pixels=np.zeros((12, 12))))
+    kps = detect_keypoints(ii, DetectorParams(octaves=1))
+    assert [(kp.y, kp.x, kp.response) for kp in kps] == [(3.0, 3.0, 1.0),
+                                                         (8.0, 7.0 + 1.0 / 6.0, 1.0)]
+    assert kps[0].scale == BASE_SCALE * sizes[1] / BASE_FILTER
+    assert kps[1].scale == BASE_SCALE * sizes[2] / BASE_FILTER
 
 
 def test_orientation_follows_gradient():
