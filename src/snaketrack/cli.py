@@ -174,7 +174,8 @@ def _metrics_row(frame_index: int, result: SegmentationResult,
     final = result.energy_history[-1] if result.energy_history else 0.0
     return (f"{frame_index},{result.iterations},{final!r},"
             f"{len(result.contours)},{splits},{discards},"
-            f"{offset[0]!r},{offset[1]!r}")
+            f"{offset[0]!r},{offset[1]!r},"
+            f"{result.converged},{result.low_confidence}")
 
 
 def run_command(args) -> int:
@@ -211,7 +212,8 @@ def run_command(args) -> int:
             for key, value in cfg.items():
                 mf.write(f"# {key}={value}\n")
             mf.write("frame,iterations,final_energy,contours,"
-                     "splits,discards,offset_x,offset_y\n")
+                     "splits,discards,offset_x,offset_y,"
+                     "converged,low_confidence\n")
             mf.flush()
             for index, path in enumerate(frames):
                 gray = netpbm.read(path)

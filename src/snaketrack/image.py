@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import correlate1d
 
 from .errors import SizeError
 
@@ -131,6 +130,24 @@ def gaussian_kernel(sigma: float) -> np.ndarray:
     return taps / taps.sum()
 
 
+def _correlate_symmetric(a: np.ndarray, taps: np.ndarray, axis: int) -> np.ndarray:
+    """Correlate `a` along `axis` with an odd, symmetric kernel, edges replicated.
+
+    Each output starts from the centre tap times its weight and then adds
+    every mirrored pair, outermost first, as (left + right) * weight. That is
+    scipy.ndimage.correlate1d's summation order for a symmetric kernel in
+    mode "nearest", so the results agree bit for bit.
+    """
+    r = len(taps) // 2
+    n = a.shape[axis]
+    pad = [(r, r) if k == axis else (0, 0) for k in range(a.ndim)]
+    p = np.moveaxis(np.pad(a, pad, mode="edge"), axis, 0)
+    out = p[r:r + n] * taps[r]
+    for k in range(r):
+        out += (p[k:k + n] + p[2 * r - k:2 * r - k + n]) * taps[k]
+    return np.moveaxis(out, 0, axis)
+
+
 def gaussian_smooth(img: Image, sigma: float) -> Image:
     """Separable Gaussian blur with replicated edges; sigma == 0 is identity."""
     if sigma < 0.0:
@@ -138,8 +155,8 @@ def gaussian_smooth(img: Image, sigma: float) -> Image:
     if sigma == 0.0:
         return img
     kernel = gaussian_kernel(sigma)
-    out = correlate1d(img.pixels, kernel, axis=1, mode="nearest")
-    out = correlate1d(out, kernel, axis=0, mode="nearest")
+    out = _correlate_symmetric(img.pixels, kernel, axis=1)
+    out = _correlate_symmetric(out, kernel, axis=0)
     # the kernel sums to 1 only up to rounding; clamp so a smoothed image can
     # never leave the input's value range
     np.clip(out, img.pixels.min(), img.pixels.max(), out=out)

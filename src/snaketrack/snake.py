@@ -165,6 +165,13 @@ class ContourResult:
 
 @dataclass(frozen=True)
 class SegmentationResult:
+    """Contours, event log and energy history of one run.
+
+    converged is True when the run ended because no agent moved for
+    stall_window sweeps or no agent was left, and False when it stopped at
+    max_iters.
+    """
+
     contours: tuple[ContourResult, ...]
     events: tuple[Event, ...]
     energy_history: tuple[float, ...]
@@ -606,7 +613,7 @@ def _build_result(state: SupervisorState, field: ScalarField,
         events=tuple(state.events),
         energy_history=tuple(state.energy_history),
         iterations=state.iteration,
-        converged=state.converged,
+        converged=state.stall >= params.stall_window or not state.agents,
         low_confidence=low,
     )
 
@@ -624,7 +631,7 @@ def run_segmentation(img: Image, seeds, params: SnakeParams) -> SegmentationResu
     """Segment one frame from 8 seed keypoints.
 
     Builds the external energy field, places the agents, and sweeps until
-    convergence (stalled moves or the iteration cap).
+    the moves stall or the iteration cap is reached.
     """
     field = external_energy_map(img, params.sigma, params.lam)
     state = init_agents(seeds, params.min_contour_size, img.width, img.height)

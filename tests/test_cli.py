@@ -201,9 +201,11 @@ def test_run_single_frame(tmp_path):
         "# ratio=0.7", "# emit_overlays=False", "# dump_keypoints=False"]
     data = [l for l in lines if not l.startswith("#")]
     assert data[0] == ("frame,iterations,final_energy,contours,"
-                       "splits,discards,offset_x,offset_y")
+                       "splits,discards,offset_x,offset_y,"
+                       "converged,low_confidence")
     assert len(data) == 2  # column header + one frame
     assert data[1].startswith("0,")
+    assert data[1].endswith(",True,False")
 
 
 def test_run_overlays_and_keypoints(tmp_path):

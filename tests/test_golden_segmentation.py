@@ -15,6 +15,10 @@ The scenes are:
   outside the frame, whose clamping makes adjacent and non-adjacent
   coincidences, plus a contour carried below min_contour_size;
 - `track_square96`: the acceptance tracking sequence (criterion 6);
+- `disk128_sigma1`: the acceptance disk segmentation (criterion 4) at the
+  default SnakeParams, so smoothing at sigma = 1;
+- `rings_sigma4`: resume_segmentation of a ring of agents 1.5 px apart and
+  8 px outside a 128x128 disk at sigma = 4, the segment workload in small;
 - `resample_rejects`: 8 agents at random pixels of a zero 40x40 field with
   alpha=0, beta=0.05, where resampling rejects insertions that would raise
   the energy (seeds 0 and 44, each followed by accepted insertions, so the
@@ -27,17 +31,19 @@ Regenerate only for a stated change of segmentation or tracking behaviour:
 """
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from snaketrack import synth
-from snaketrack.image import EXTERNAL_ENERGY, Image, ScalarField
+from snaketrack.image import EXTERNAL_ENERGY, Image, ScalarField, integral_image
 from snaketrack.snake import (DISCARD, SPLIT, ContourResult, SnakeParams,
-                              init_agents, resume_segmentation, step,
-                              total_energy)
-from snaketrack.surf import DetectorParams, KeyPoint
+                              init_agents, resume_segmentation, run_segmentation,
+                              step, total_energy)
+from snaketrack.surf import (DetectorParams, KeyPoint, describe_keypoints,
+                             detect_keypoints, select_extremity_points)
 from snaketrack.tracking import init_tracking, track_frame
 
 GOLDEN = Path(__file__).with_name("golden_segmentation.json")
@@ -128,6 +134,33 @@ def _resume_clamped():
     return _result_record(resume_segmentation(img, carried, SnakeParams(sigma=2.0)))
 
 
+def _disk128_sigma1():
+    img = Image(pixels=synth.disk_image(128, 128))
+    ii = integral_image(img)
+    kps = detect_keypoints(ii, DetectorParams())
+    describe_keypoints(ii, kps)
+    seeds = select_extremity_points(kps, 128, 128).points
+    return _result_record(run_segmentation(img, seeds, SnakeParams()))
+
+
+def _rings_sigma4():
+    size = 128
+    img = Image(pixels=synth.disk_image(size, size))
+    c = size / 2.0
+    r = synth.DISK_RADIUS_FRACTION * size + 8.0
+    n = round(2.0 * math.pi * r / 1.5)
+    pts = []
+    for k in range(n):
+        a = 2.0 * math.pi * k / n
+        p = (math.floor(c + r * math.cos(a)), math.floor(c + r * math.sin(a)))
+        if p not in pts[-1:]:
+            pts.append(p)
+    if pts[0] == pts[-1]:
+        pts.pop()
+    ring = ContourResult(0, tuple(range(len(pts))), tuple(pts))
+    return _result_record(resume_segmentation(img, [ring], SnakeParams(sigma=4.0)))
+
+
 def _track_square96():
     detector = DetectorParams(octaves=4)
     snake = SnakeParams(sigma=2.0)
@@ -146,7 +179,8 @@ def _track_square96():
 
 
 SCENES = {"criterion7": _criterion7, "resume_clamped": _resume_clamped,
-          "resample_rejects": _resample_rejects, "track_square96": _track_square96}
+          "resample_rejects": _resample_rejects, "track_square96": _track_square96,
+          "disk128_sigma1": _disk128_sigma1, "rings_sigma4": _rings_sigma4}
 SCENES.update({f"wells{s}": (lambda s=s: _wells(s, SnakeParams())) for s in WELL_SEEDS})
 SCENES.update({f"wells{s}_stiff": (lambda s=s: _wells(s, SnakeParams(alpha=0.2)))
                for s in STIFF_WELL_SEEDS})

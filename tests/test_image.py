@@ -1,6 +1,9 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from snaketrack.errors import SizeError
@@ -197,6 +200,33 @@ def test_smooth_stays_in_input_range():
     out = gaussian_smooth(img, sigma=1.5)
     assert out.pixels.min() >= img.pixels.min() - 1e-15
     assert out.pixels.max() <= img.pixels.max() + 1e-15
+
+
+# below about 1e-154 gaussian_kernel's 2 * sigma * sigma overflows the
+# divide, and below about 1e-162 it underflows to 0 and the taps are NaN,
+# which no summation order can agree on
+@pytest.mark.filterwarnings("ignore:.*encountered in divide:RuntimeWarning")
+@settings(max_examples=200)
+@given(h=st.integers(3, 40), w=st.integers(3, 40), seed=st.integers(0, 2**32 - 1),
+       sigma=st.floats(0.0, 8.0, exclude_min=True))
+def test_smooth_equals_scipy_correlate1d_bitwise(h, w, seed, sigma):
+    ndimage = pytest.importorskip("scipy.ndimage")
+    kernel = gaussian_kernel(sigma)
+    assume(np.isfinite(kernel).all())
+    px = np.random.default_rng(seed).random((h, w))
+    ref = ndimage.correlate1d(px, kernel, axis=1, mode="nearest")
+    ref = ndimage.correlate1d(ref, kernel, axis=0, mode="nearest")
+    np.clip(ref, px.min(), px.max(), out=ref)
+    out = gaussian_smooth(Image(pixels=px), sigma).pixels
+    assert np.array_equal(out.view(np.uint64), ref.view(np.uint64))
+
+
+def test_import_loads_no_scipy():
+    code = ("import sys, snaketrack, snaketrack.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def test_gradient_of_ramp():

@@ -290,6 +290,19 @@ def test_run_converges_and_logs_event():
     assert [e.kind for e in result.events if e.kind == CONVERGED] == [CONVERGED]
 
 
+def test_run_stopped_at_max_iters_is_not_converged():
+    img = Image(pixels=synth.disk_image(64, 64))
+    pts = [seed(32, 8), seed(50, 14), seed(56, 32), seed(50, 50),
+           seed(32, 56), seed(14, 50), seed(8, 32), seed(14, 14)]
+    result = run_segmentation(img, pts, SnakeParams(max_iters=2))
+    assert result.iterations == 2
+    assert not result.converged
+    # the energy was still falling when the cap stopped the run
+    assert result.energy_history[2] < result.energy_history[1] < result.energy_history[0]
+    # the log still closes the run with its stop event
+    assert result.events[-1].kind == CONVERGED
+
+
 def test_run_is_deterministic():
     img = Image(pixels=synth.disk_image(64, 64))
     pts = [seed(32, 8), seed(50, 14), seed(56, 32), seed(50, 50),
@@ -329,6 +342,8 @@ def test_resume_discards_undersized_carried_contour():
     result = resume_segmentation(img, carried, SnakeParams())
     assert result.contours == ()
     assert any(e.kind == DISCARD for e in result.events)
+    # a run with no agent left has nothing more to do
+    assert result.converged
 
 
 # ---------------------------------------------------------------------------
