@@ -149,12 +149,19 @@ def _correlate_symmetric(a: np.ndarray, taps: np.ndarray, axis: int) -> np.ndarr
 
 
 def gaussian_smooth(img: Image, sigma: float) -> Image:
-    """Separable Gaussian blur with replicated edges; sigma == 0 is identity."""
+    """Separable Gaussian blur with replicated edges; sigma == 0 is identity.
+
+    A sigma so small (below about 1e-162) that 2 sigma^2 underflows to 0
+    gives non-finite taps and raises ValueError.
+    """
     if sigma < 0.0:
         raise ValueError("sigma must be >= 0")
     if sigma == 0.0:
         return img
-    kernel = gaussian_kernel(sigma)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        kernel = gaussian_kernel(sigma)
+    if not np.isfinite(kernel).all():
+        raise ValueError(f"sigma {sigma!r} is too small: its Gaussian taps are not finite")
     out = _correlate_symmetric(img.pixels, kernel, axis=1)
     out = _correlate_symmetric(out, kernel, axis=0)
     # the kernel sums to 1 only up to rounding; clamp so a smoothed image can

@@ -30,6 +30,24 @@ those before the first sweep.
 Optional resampling inserts a midpoint agent into any cyclic edge longer
 than max_spacing, gated by the same non-increase rule and capped at 4x the
 starting agent count.
+
+Each visit of the sweep costs O(1). Two maps on the state stand in for
+scans of the contour: cycle_pos maps an agent id to its position in its
+contour's cycle, and occupant maps (contour id, x, y) to the agent there.
+Agents of different contours may share a pixel, so the contour is part of
+the pixel key. step rebuilds both maps from the contours and agents when it
+starts, so hand-built and hand-edited states work; within the call an
+accepted move re-keys the agent's pixel, and a merge, split, drop or
+resampling insertion re-enters the one contour it changed.
+
+The greedy scan is a pure function of ten integers (the agent's pixel and
+the pixels of its cyclic neighbours at -2, -1, +1 and +2), the field, the
+frame size, alpha and beta. When an agent's scan chooses to stay, the stay
+memo keeps those ten integers for the agent, and a later visit of the agent
+with the same ten integers stays without scanning. A move rejected as a
+collision is not remembered, since its settlement energy depends on the
+whole contour. step drops the memo when it is called with another field,
+alpha, beta or frame size.
 """
 
 from __future__ import annotations
@@ -141,6 +159,15 @@ class SupervisorState:
     next_agent_id: int = 0
     next_contour_id: int = 0
     initial_agent_count: int = 0
+    # the sweep's indexes and stay memo (see the module docstring); step
+    # rebuilds the two maps from contours and agents when it starts
+    cycle_pos: dict[int, int] = dc_field(default_factory=dict, init=False,
+                                         repr=False, compare=False)
+    occupant: dict[tuple[int, int, int], int] = dc_field(
+        default_factory=dict, init=False, repr=False, compare=False)
+    stay_memo: dict[int, tuple[int, ...]] = dc_field(
+        default_factory=dict, init=False, repr=False, compare=False)
+    stay_basis: tuple = dc_field(default=(), init=False, repr=False, compare=False)
 
     def new_agent_id(self) -> int:
         aid = self.next_agent_id
@@ -216,64 +243,75 @@ def total_energy(state: SupervisorState, positions: Mapping[int, tuple[int, int]
     return total
 
 
-def _local_energy(x, y, xm2, ym2, xm1, ym1, xp1, yp1, xp2, yp2, ext, alpha, beta):
-    """Every energy term that contains the agent's own position.
+def _visit_key(state: SupervisorState, agent: ExplorerAgent, k: int):
+    """The ten integers the greedy scan depends on besides the field and params.
 
-    Two elastic edge terms plus the three bending terms centered at the
-    agent and its cyclic neighbors, plus the field value at the pixel.
+    They are the agent's pixel and the pixels of its cyclic neighbours at -2,
+    -1, +1 and +2, for an agent at position k of its contour's cycle.
     """
-    e1x = x - xm1
-    e1y = y - ym1
-    e2x = xp1 - x
-    e2y = yp1 - y
-    e = 0.5 * alpha * (e1x * e1x + e1y * e1y + e2x * e2x + e2y * e2y)
-    c1x = x - 2.0 * xm1 + xm2
-    c1y = y - 2.0 * ym1 + ym2
-    c2x = xp1 - 2.0 * x + xm1
-    c2y = yp1 - 2.0 * y + ym1
-    c3x = xp2 - 2.0 * xp1 + x
-    c3y = yp2 - 2.0 * yp1 + y
-    e += 0.5 * beta * (c1x * c1x + c1y * c1y + c2x * c2x + c2y * c2y
-                       + c3x * c3x + c3y * c3y)
-    return e + ext
-
-
-def _neighbor_positions(state: SupervisorState, agent: ExplorerAgent):
     ids = state.contours[agent.contour_id].agent_ids
     n = len(ids)
-    k = ids.index(agent.id)
-    am2 = state.agents[ids[(k - 2) % n]]
-    am1 = state.agents[ids[(k - 1) % n]]
-    ap1 = state.agents[ids[(k + 1) % n]]
-    ap2 = state.agents[ids[(k + 2) % n]]
-    return am2.x, am2.y, am1.x, am1.y, ap1.x, ap1.y, ap2.x, ap2.y
+    agents = state.agents
+    am2 = agents[ids[(k - 2) % n]]
+    am1 = agents[ids[(k - 1) % n]]
+    ap1 = agents[ids[(k + 1) % n]]
+    ap2 = agents[ids[(k + 2) % n]]
+    return (agent.x, agent.y, am2.x, am2.y, am1.x, am1.y, ap1.x, ap1.y, ap2.x, ap2.y)
 
 
-def _best_move(agent: ExplorerAgent, state: SupervisorState, field: ScalarField,
-               params: SnakeParams) -> tuple[tuple[int, int], float]:
+def _axis_sums(v: int, m2: int, m1: int, p1: int, p2: int):
+    """One axis's elastic and bending sums for the agent at v - 1, v and v + 1.
+
+    The elastic sum holds the squared edge lengths to both cyclic
+    neighbours, the bending sum the squared second differences centred at
+    the agent and at its two neighbours. Moving the agent by t changes them
+    by 2t(d - f) + 2t^2 and 2t(b1 - 2 b2 + b3) + 6t^2.
+    """
+    d = v - m1
+    f = p1 - v
+    b1 = v - 2 * m1 + m2
+    b2 = p1 - 2 * v + m1
+    b3 = p2 - 2 * p1 + v
+    e0 = d * d + f * f
+    g = 2 * (d - f)
+    c0 = b1 * b1 + b2 * b2 + b3 * b3
+    h = 2 * (b1 - 2 * b2 + b3)
+    return (e0 - g + 2, e0, e0 + g + 2), (c0 - h + 6, c0, c0 + h + 6)
+
+
+def _best_move(key: tuple[int, ...], values: np.ndarray, width: int, height: int,
+               alpha: float, beta: float) -> tuple[tuple[int, int], float]:
     """The greedy scan: its chosen pixel and the local energy change to it.
 
-    Staying put is the first candidate and always in bounds, so its energy
-    is the baseline of the change.
+    key is _visit_key's ten integers. A candidate's local energy holds every
+    term of E that contains the agent's position:
+
+        alpha/2 * elastic + beta/2 * bending + e(x, y)
+
+    Both sums are integers, so they are exact however they are grouped and
+    split into an x and a y part; only the three products and two additions
+    round. Staying put is the first candidate and always in bounds, so its
+    energy is the baseline of the change.
     """
-    xm2, ym2, xm1, ym1, xp1, yp1, xp2, yp2 = _neighbor_positions(state, agent)
-    vals = field.values
-    w, h = state.width, state.height
-    alpha, beta = params.alpha, params.beta
-    best = (agent.x, agent.y)
-    stay_e = best_e = _local_energy(agent.x, agent.y, xm2, ym2, xm1, ym1, xp1, yp1,
-                                    xp2, yp2, vals[agent.y, agent.x], alpha, beta)
+    x, y, xm2, ym2, xm1, ym1, xp1, yp1, xp2, yp2 = key
+    ex, bx = _axis_sums(x, xm2, xm1, xp1, xp2)
+    ey, by = _axis_sums(y, ym2, ym1, yp1, yp2)
+    ha = 0.5 * alpha
+    hb = 0.5 * beta
+    at = values.item
+    best = (x, y)
+    stay_e = best_e = ha * (ex[1] + ey[1]) + hb * (bx[1] + by[1]) + at(y, x)
     for dx, dy in NEIGHBOR_SCAN[1:]:
-        x = agent.x + dx
-        y = agent.y + dy
-        if not (0 <= x < w and 0 <= y < h):
+        cx = x + dx
+        cy = y + dy
+        if not (0 <= cx < width and 0 <= cy < height):
             continue
-        e = _local_energy(x, y, xm2, ym2, xm1, ym1, xp1, yp1, xp2, yp2,
-                          vals[y, x], alpha, beta)
+        e = (ha * (ex[dx + 1] + ey[dy + 1]) + hb * (bx[dx + 1] + by[dy + 1])
+             + at(cy, cx))
         if e < best_e:
             best_e = e
-            best = (x, y)
-    return best, float(best_e - stay_e)
+            best = (cx, cy)
+    return best, best_e - stay_e
 
 
 def propose_move(agent: ExplorerAgent, state: SupervisorState,
@@ -283,7 +321,9 @@ def propose_move(agent: ExplorerAgent, state: SupervisorState,
     Candidates outside the image are skipped; ties resolve to the earliest
     candidate in the scan order, so staying put wins any tie.
     """
-    return _best_move(agent, state, field, params)[0]
+    k = state.contours[agent.contour_id].agent_ids.index(agent.id)
+    return _best_move(_visit_key(state, agent, k), field.values, state.width,
+                      state.height, params.alpha, params.beta)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -403,6 +443,7 @@ def split_contour(state: SupervisorState, contour: Contour, i: int, j: int,
     if not (0 <= i < j < n):
         raise ValueError(f"positions {i}, {j} invalid for a contour of {n} agents")
     merged, kept, dropped = _settlement(contour, i, j, params.min_contour_size)
+    _unindex_contour(state, contour)
     if merged is not None:
         events = [Event(state.iteration, DISCARD, contour_ids=(contour.id,),
                         agent_ids=(merged,))]
@@ -411,6 +452,8 @@ def split_contour(state: SupervisorState, contour: Contour, i: int, j: int,
         contour.canonicalize()
         if dropped:
             events.append(_drop_contour(state, contour))
+        else:
+            _index_contour(state, contour)
     else:
         del state.contours[contour.id]
         new_ids = []
@@ -421,6 +464,7 @@ def split_contour(state: SupervisorState, contour: Contour, i: int, j: int,
             state.contours[cid] = sub
             for aid in arc:
                 state.agents[aid].contour_id = cid
+            _index_contour(state, sub)
             new_ids.append(cid)
         events = [Event(state.iteration, SPLIT, contour_ids=(contour.id, *new_ids),
                         agent_ids=(contour.agent_ids[i], contour.agent_ids[j]))]
@@ -435,6 +479,7 @@ def split_contour(state: SupervisorState, contour: Contour, i: int, j: int,
 
 def _drop_contour(state: SupervisorState, contour: Contour) -> Event:
     """Delete a contour with its agents; returns the DISCARD event naming them."""
+    _unindex_contour(state, contour)
     remaining = tuple(contour.agent_ids)
     for aid in remaining:
         del state.agents[aid]
@@ -443,15 +488,23 @@ def _drop_contour(state: SupervisorState, contour: Contour) -> Event:
                  agent_ids=remaining)
 
 
-def _same_contour_occupant(state: SupervisorState, agent: ExplorerAgent,
-                           pos: tuple[int, int]) -> ExplorerAgent | None:
-    for aid in state.contours[agent.contour_id].agent_ids:
-        if aid == agent.id:
-            continue
-        other = state.agents[aid]
-        if (other.x, other.y) == pos:
-            return other
-    return None
+def _index_contour(state: SupervisorState, contour: Contour) -> None:
+    """Enter every agent of the contour into the cycle-position and pixel maps."""
+    cid = contour.id
+    cycle_pos, occupant, agents = state.cycle_pos, state.occupant, state.agents
+    for k, aid in enumerate(contour.agent_ids):
+        agent = agents[aid]
+        cycle_pos[aid] = k
+        occupant[(cid, agent.x, agent.y)] = aid
+
+
+def _unindex_contour(state: SupervisorState, contour: Contour) -> None:
+    """Remove the contour's agents, at their current pixels, from both maps."""
+    cid = contour.id
+    for aid in contour.agent_ids:
+        agent = state.agents[aid]
+        state.cycle_pos.pop(aid, None)
+        state.occupant.pop((cid, agent.x, agent.y), None)
 
 
 def _settlement_delta(state: SupervisorState, contour: Contour, i: int, j: int,
@@ -478,36 +531,55 @@ def step(state: SupervisorState, field: ScalarField, params: SnakeParams) -> lis
     if state.converged:
         return []
     first_event = len(state.events)
+    basis = (field, params.alpha, params.beta, state.width, state.height)
+    if basis != state.stay_basis:
+        state.stay_basis = basis
+        state.stay_memo = {}
+    state.cycle_pos = {}
+    state.occupant = {}
+    for contour in state.contours.values():
+        _index_contour(state, contour)
+    agents, contours = state.agents, state.contours
+    cycle_pos, occupant, stay_memo = state.cycle_pos, state.occupant, state.stay_memo
+    values, width, height = field.values, state.width, state.height
+    alpha, beta = params.alpha, params.beta
     moved = 0
-    for aid in sorted(state.agents):
-        agent = state.agents.get(aid)
+    for aid in sorted(agents):
+        agent = agents.get(aid)
         if agent is None:
             continue  # discarded earlier in this sweep
-        target, delta = _best_move(agent, state, field, params)
-        if target == (agent.x, agent.y):
+        key = _visit_key(state, agent, cycle_pos[aid])
+        if stay_memo.get(aid) == key:
             continue
-        occupant = _same_contour_occupant(state, agent, target)
-        if occupant is None:
+        target, delta = _best_move(key, values, width, height, alpha, beta)
+        old = (agent.x, agent.y)
+        if target == old:
+            stay_memo[aid] = key
+            continue
+        cid = agent.contour_id
+        other = occupant.get((cid, *target))
+        if other is None:
+            del occupant[(cid, *old)]
+            occupant[(cid, *target)] = aid
             agent.x, agent.y = target
             state.current_energy += delta
             moved += 1
             continue
         # the move lands on a contour-mate: accept only if the move plus its
         # collision settlement does not raise the total energy
-        contour = state.contours[agent.contour_id]
-        old_pos = (agent.x, agent.y)
+        contour = contours[cid]
         agent.x, agent.y = target
-        ids = contour.agent_ids
-        i, j = sorted((ids.index(agent.id), ids.index(occupant.id)))
+        i, j = sorted((cycle_pos[aid], cycle_pos[other]))
         settle = _settlement_delta(state, contour, i, j, field, params)
         if delta + settle <= 0.0:
+            del occupant[(cid, *old)]
             split_contour(state, contour, i, j, params)
             state.current_energy += delta + settle
             moved += 1
         else:
-            agent.x, agent.y = old_pos
-    for cid in sorted(state.contours):
-        resample_contour(state, state.contours[cid], field, params)
+            agent.x, agent.y = old
+    for cid in sorted(contours):
+        resample_contour(state, contours[cid], field, params)
     state.iteration += 1
     state.stall = state.stall + 1 if moved == 0 else 0
     state.energy_history.append(state.current_energy)
@@ -585,6 +657,7 @@ def resample_contour(state: SupervisorState, contour: Contour,
         else:
             break
     if inserted:
+        _index_contour(state, contour)
         event = Event(state.iteration, RESAMPLE, contour_ids=(contour.id,),
                       agent_ids=tuple(inserted))
         state.events.append(event)
@@ -647,14 +720,25 @@ def resume_segmentation(img: Image, carried, params: SnakeParams) -> Segmentatio
     introduced by clamping are settled before the energy history starts;
     contours that fall below min_contour_size are discarded. The result may
     contain no contours, which callers should treat as tracking lost.
+
+    Raises ValueError, naming the record, when a record's agent ids and
+    points differ in number or when an agent id or contour id appears twice.
     """
     field = external_energy_map(img, params.sigma, params.lam)
     state = SupervisorState(width=img.width, height=img.height)
-    for rec in carried:
+    for k, rec in enumerate(carried):
+        where = f"carried record {k} (contour {rec.id})"
+        if len(rec.agent_ids) != len(rec.points):
+            raise ValueError(f"{where} has {len(rec.agent_ids)} agent ids "
+                             f"but {len(rec.points)} points")
+        if rec.id in state.contours:
+            raise ValueError(f"{where}: contour id {rec.id} appears twice")
         contour = Contour(id=rec.id, agent_ids=list(rec.agent_ids))
         contour.canonicalize()
         state.contours[rec.id] = contour
         for aid, (x, y) in zip(rec.agent_ids, rec.points):
+            if aid in state.agents:
+                raise ValueError(f"{where}: agent id {aid} appears twice")
             x = min(max(int(x), 0), img.width - 1)
             y = min(max(int(y), 0), img.height - 1)
             state.agents[aid] = ExplorerAgent(id=aid, x=x, y=y, contour_id=rec.id)

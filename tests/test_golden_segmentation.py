@@ -19,13 +19,19 @@ The scenes are:
   default SnakeParams, so smoothing at sigma = 1;
 - `rings_sigma4`: resume_segmentation of a ring of agents 1.5 px apart and
   8 px outside a 128x128 disk at sigma = 4, the segment workload in small;
+- `crossing_rings`: resume_segmentation of two rings of agents 1 px apart
+  inside a 48x48 disk whose centres are 8 px apart, so the rings cross:
+  agents of the two contours share pixels and move onto each other's
+  pixels, which is no collision, while one contour merges two agents;
 - `resample_rejects`: 8 agents at random pixels of a zero 40x40 field with
   alpha=0, beta=0.05, where resampling rejects insertions that would raise
   the energy (seeds 0 and 44, each followed by accepted insertions, so the
   later agent ids show whether a rejection used up an id) and skips
   midpoints the contour already holds (seed 1307).
 
-Regenerate only for a stated change of segmentation or tracking behaviour:
+Running the file records the scenes it lacks and leaves recorded entries as
+they are; re-record an entry (delete it first) only for a stated change of
+segmentation or tracking behaviour:
 
     PYTHONPATH=src python tests/test_golden_segmentation.py
 """
@@ -33,11 +39,12 @@ Regenerate only for a stated change of segmentation or tracking behaviour:
 import json
 import math
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from snaketrack import synth
+from snaketrack import snake, synth
 from snaketrack.image import EXTERNAL_ENERGY, Image, ScalarField, integral_image
 from snaketrack.snake import (DISCARD, SPLIT, ContourResult, SnakeParams,
                               init_agents, resume_segmentation, run_segmentation,
@@ -143,22 +150,38 @@ def _disk128_sigma1():
     return _result_record(run_segmentation(img, seeds, SnakeParams()))
 
 
-def _rings_sigma4():
-    size = 128
-    img = Image(pixels=synth.disk_image(size, size))
-    c = size / 2.0
-    r = synth.DISK_RADIUS_FRACTION * size + 8.0
-    n = round(2.0 * math.pi * r / 1.5)
+def _ring(cid, first_id, cx, cy, r, spacing):
+    """A carried contour of agents `spacing` px apart on a circle, floored to pixels."""
+    n = round(2.0 * math.pi * r / spacing)
     pts = []
     for k in range(n):
         a = 2.0 * math.pi * k / n
-        p = (math.floor(c + r * math.cos(a)), math.floor(c + r * math.sin(a)))
+        p = (math.floor(cx + r * math.cos(a)), math.floor(cy + r * math.sin(a)))
         if p not in pts[-1:]:
             pts.append(p)
     if pts[0] == pts[-1]:
         pts.pop()
-    ring = ContourResult(0, tuple(range(len(pts))), tuple(pts))
+    return ContourResult(cid, tuple(range(first_id, first_id + len(pts))), tuple(pts))
+
+
+def _rings_sigma4():
+    size = 128
+    img = Image(pixels=synth.disk_image(size, size))
+    c = size / 2.0
+    ring = _ring(0, 0, c, c, synth.DISK_RADIUS_FRACTION * size + 8.0, 1.5)
     return _result_record(resume_segmentation(img, [ring], SnakeParams(sigma=4.0)))
+
+
+def _crossing_rings_carried():
+    left = _ring(0, 0, 20.0, 24.0, 10.0, 1.0)
+    right = _ring(1, len(left.agent_ids), 28.0, 24.0, 10.0, 1.0)
+    return [left, right]
+
+
+def _crossing_rings():
+    img = Image(pixels=synth.disk_image(48, 48))
+    return _result_record(resume_segmentation(img, _crossing_rings_carried(),
+                                              SnakeParams(sigma=2.0)))
 
 
 def _track_square96():
@@ -180,7 +203,8 @@ def _track_square96():
 
 SCENES = {"criterion7": _criterion7, "resume_clamped": _resume_clamped,
           "resample_rejects": _resample_rejects, "track_square96": _track_square96,
-          "disk128_sigma1": _disk128_sigma1, "rings_sigma4": _rings_sigma4}
+          "disk128_sigma1": _disk128_sigma1, "rings_sigma4": _rings_sigma4,
+          "crossing_rings": _crossing_rings}
 SCENES.update({f"wells{s}": (lambda s=s: _wells(s, SnakeParams())) for s in WELL_SEEDS})
 SCENES.update({f"wells{s}_stiff": (lambda s=s: _wells(s, SnakeParams(alpha=0.2)))
                for s in STIFF_WELL_SEEDS})
@@ -246,6 +270,32 @@ def test_golden_scenes_cover_every_settlement_outcome():
         "split", "dropped arc", "merge", "merge drop", "carried drop"}
 
 
+def test_crossing_rings_share_pixels_across_contours():
+    golden = json.loads(GOLDEN.read_text())["crossing_rings"]
+    (_, _, left), (_, _, right) = golden["contours"]
+    assert {tuple(p) for p in left} & {tuple(p) for p in right}
+    onto = []
+
+    def checked_step(state, field, params):
+        held = {}
+        for a in state.agents.values():
+            held.setdefault(a.pos, set()).add(a.contour_id)
+        before = state.positions()
+        events = step(state, field, params)
+        onto.extend(aid for aid, a in state.agents.items()
+                    if a.pos != before[aid] and held.get(a.pos, set()) - {a.contour_id})
+        return events
+
+    img = Image(pixels=synth.disk_image(48, 48))
+    with mock.patch.object(snake, "step", checked_step):
+        result = resume_segmentation(img, _crossing_rings_carried(), SnakeParams(sigma=2.0))
+    # agents moved onto pixels the other contour held, and none of it was
+    # settled as a collision: both contours survive
+    assert onto
+    assert [c.id for c in result.contours] == [0, 1]
+    assert _result_record(result) == golden
+
+
 def test_settlement_outcomes_names_each_pattern():
     events = [[3, "discard", [0], [4]],               # merge ...
               [3, "split", [0, 1], [5, 1]],           # split keeping an arc
@@ -262,5 +312,10 @@ def test_settlement_outcomes_names_each_pattern():
 
 
 if __name__ == "__main__":
-    GOLDEN.write_text(json.dumps({name: SCENES[name]() for name in sorted(SCENES)},
+    # records only the scenes the file lacks, so recorded entries stay as they are
+    golden = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+    for name in SCENES:
+        if name not in golden:
+            golden[name] = SCENES[name]()
+    GOLDEN.write_text(json.dumps({name: golden[name] for name in sorted(golden)},
                                  indent=1) + "\n")

@@ -221,6 +221,16 @@ def test_smooth_equals_scipy_correlate1d_bitwise(h, w, seed, sigma):
     assert np.array_equal(out.view(np.uint64), ref.view(np.uint64))
 
 
+def test_smooth_names_a_sigma_too_small_for_finite_taps():
+    img = Image(pixels=np.random.default_rng(5).random((5, 5)))
+    for smooth in (lambda: gaussian_smooth(img, 1e-170),
+                   lambda: external_energy_map(img, 1e-170, 1.0)):
+        with pytest.raises(ValueError, match="sigma 1e-170 is too small"):
+            smooth()
+    # taps still finite: the kernel is the identity [0, 1, 0]
+    assert np.array_equal(gaussian_smooth(img, 1e-158).pixels, img.pixels)
+
+
 def test_import_loads_no_scipy():
     code = ("import sys, snaketrack, snaketrack.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")

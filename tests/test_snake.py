@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from snaketrack.errors import InitializationError
-from snaketrack.image import EXTERNAL_ENERGY, GRADIENT_MAGNITUDE, Image, ScalarField
+from snaketrack.image import (EXTERNAL_ENERGY, GRADIENT_MAGNITUDE, Image, ScalarField,
+                              external_energy_map, integral_image)
 from snaketrack.snake import (
     CONVERGED,
     DISCARD,
@@ -27,7 +28,8 @@ from snaketrack.snake import (
     step,
     total_energy,
 )
-from snaketrack.surf import KeyPoint
+from snaketrack.surf import (DetectorParams, KeyPoint, describe_keypoints,
+                             detect_keypoints, select_extremity_points)
 from snaketrack import snake, synth
 
 
@@ -169,6 +171,40 @@ def test_propose_skips_out_of_bounds():
     corner = next(a for a in state.agents.values() if a.pos == (0, 0))
     move = propose_move(corner, state, zero_field(5, 5), FREE)
     assert 0 <= move[0] < 5 and 0 <= move[1] < 5
+
+
+def reference_local_energy(x, y, xm2, ym2, xm1, ym1, xp1, yp1, xp2, yp2, ext, alpha, beta):
+    # every energy term that contains the agent's position, written out one
+    # by one: the reference _best_move's energies must equal bit for bit
+    e1x, e1y = x - xm1, y - ym1
+    e2x, e2y = xp1 - x, yp1 - y
+    e = 0.5 * alpha * (e1x * e1x + e1y * e1y + e2x * e2x + e2y * e2y)
+    c1x, c1y = x - 2.0 * xm1 + xm2, y - 2.0 * ym1 + ym2
+    c2x, c2y = xp1 - 2.0 * x + xm1, yp1 - 2.0 * y + ym1
+    c3x, c3y = xp2 - 2.0 * xp1 + x, yp2 - 2.0 * yp1 + y
+    e += 0.5 * beta * (c1x * c1x + c1y * c1y + c2x * c2x + c2y * c2y
+                       + c3x * c3x + c3y * c3y)
+    return e + ext
+
+
+@settings(max_examples=300)
+@given(key=st.lists(st.integers(0, 11), min_size=10, max_size=10),
+       field_seed=st.integers(0, 2**32 - 1),
+       alpha=st.floats(0.0, 1.0), beta=st.floats(0.0, 1.0))
+def test_best_move_equals_termwise_scan_bitwise(key, field_seed, alpha, beta):
+    vals = -np.random.default_rng(field_seed).random((12, 12))
+    x, y, *nbrs = key
+    best = (x, y)
+    stay = best_e = reference_local_energy(x, y, *nbrs, vals[y, x], alpha, beta)
+    for dx, dy in snake.NEIGHBOR_SCAN[1:]:
+        cx, cy = x + dx, y + dy
+        if 0 <= cx < 12 and 0 <= cy < 12:
+            e = reference_local_energy(cx, cy, *nbrs, vals[cy, cx], alpha, beta)
+            if e < best_e:
+                best, best_e = (cx, cy), e
+    target, delta = snake._best_move(tuple(key), vals, 12, 12, alpha, beta)
+    assert target == best
+    assert delta == best_e - stay
 
 
 def test_split_non_adjacent_creates_two_contours():
@@ -335,6 +371,71 @@ def test_resume_preserves_ids_and_clamps():
     assert all(b <= a for a, b in zip(hist, hist[1:]))
 
 
+@pytest.mark.parametrize("carried, named", [
+    # five agent ids but four points
+    ([ContourResult(id=0, agent_ids=(0, 1, 2, 3, 4),
+                    points=((10, 10), (20, 10), (20, 20), (10, 20)))],
+     "carried record 0 (contour 0) has 5 agent ids but 4 points"),
+    # agent 3 on two contours
+    ([ContourResult(id=0, agent_ids=(0, 1, 2, 3),
+                    points=((4, 4), (10, 4), (10, 10), (4, 10))),
+      ContourResult(id=1, agent_ids=(3, 4, 5, 6),
+                    points=((16, 16), (24, 16), (24, 24), (16, 24)))],
+     "carried record 1 (contour 1): agent id 3 appears twice"),
+    # contour 0 twice
+    ([ContourResult(id=0, agent_ids=(0, 1, 2, 3),
+                    points=((4, 4), (10, 4), (10, 10), (4, 10))),
+      ContourResult(id=0, agent_ids=(4, 5, 6, 7),
+                    points=((16, 16), (24, 16), (24, 24), (16, 24)))],
+     "carried record 1 (contour 0): contour id 0 appears twice"),
+])
+def test_resume_rejects_inconsistent_records(carried, named):
+    img = Image(pixels=synth.disk_image(32, 32))
+    with pytest.raises(ValueError) as err:
+        resume_segmentation(img, carried, SnakeParams())
+    assert str(err.value) == named
+
+
+def test_settled_step_scans_no_agent():
+    # criterion 4's disk: once the run has converged, every agent's
+    # neighbourhood is one whose scan already chose to stay
+    img = Image(pixels=synth.disk_image(128, 128))
+    ii = integral_image(img)
+    kps = detect_keypoints(ii, DetectorParams())
+    describe_keypoints(ii, kps)
+    params = SnakeParams()
+    field = external_energy_map(img, params.sigma, params.lam)
+    state = init_agents(select_extremity_points(kps, 128, 128).points,
+                        params.min_contour_size, 128, 128)
+    snake._run(state, field, params)
+    assert state.agents
+    positions = state.positions()
+    state.converged = False
+    scans = []
+    best_move = snake._best_move
+
+    def counting(*args):
+        scans.append(args)
+        return best_move(*args)
+
+    with mock.patch.object(snake, "_best_move", counting):
+        step(state, field, params)
+    assert scans == []
+    assert state.positions() == positions
+
+
+def test_stalled_state_moves_on_a_new_field():
+    state, ring = ring_state()
+    step(state, zero_field(), FREE)
+    assert len(state.stay_memo) == 8 and state.stall == 1
+    agent = state.agents[0]
+    vals = np.zeros((40, 40))
+    vals[agent.y, agent.x + 1] = -1.0  # a deeper well east of agent 0
+    step(state, ScalarField(values=vals, kind=EXTERNAL_ENERGY), FREE)
+    assert state.stall == 0
+    assert agent.pos == (ring[0][0] + 1, ring[0][1])
+
+
 def test_resume_discards_undersized_carried_contour():
     img = Image(pixels=synth.disk_image(32, 32))
     carried = [ContourResult(id=0, agent_ids=(0, 1, 2),
@@ -373,6 +474,19 @@ def assert_supervisor_invariants(state, field, params, start):
     assert abs(state.current_energy - recomputed) <= 1e-9
     hist = state.energy_history
     assert all(b <= a for a, b in zip(hist, hist[1:]))
+    # the sweep's maps equal maps rebuilt from the contours and agents
+    cycle_pos = {aid: k for c in state.contours.values()
+                 for k, aid in enumerate(c.agent_ids)}
+    assert state.cycle_pos == cycle_pos
+    assert state.occupant == {(a.contour_id, a.x, a.y): aid
+                              for aid, a in state.agents.items()}
+    # an agent the stay memo would skip is one its scan keeps in place
+    for aid, agent in state.agents.items():
+        key = snake._visit_key(state, agent, cycle_pos[aid])
+        if state.stay_memo.get(aid) == key:
+            target, _ = snake._best_move(key, field.values, state.width, state.height,
+                                         params.alpha, params.beta)
+            assert target == agent.pos
 
 
 @settings(max_examples=40)
