@@ -31,14 +31,13 @@ Optional resampling inserts a midpoint agent into any cyclic edge longer
 than max_spacing, gated by the same non-increase rule and capped at 4x the
 starting agent count.
 
-Each visit of the sweep costs O(1). Two maps on the state stand in for
+Each visit of the sweep costs O(1). Two maps of one step call stand in for
 scans of the contour: cycle_pos maps an agent id to its position in its
-contour's cycle, and occupant maps (contour id, x, y) to the agent there.
-Agents of different contours may share a pixel, so the contour is part of
-the pixel key. step rebuilds both maps from the contours and agents when it
-starts, so hand-built and hand-edited states work; within the call an
-accepted move re-keys the agent's pixel, and a merge, split, drop or
-resampling insertion re-enters the one contour it changed.
+cycle, and occupant maps (contour id, x, y) to the agent there, since agents
+of different contours may share a pixel. step builds both from the contours
+and agents when it starts, re-keys an agent that moves, and re-enters the
+merged contour or the new arcs after a settlement. Entries under a split or
+dropped contour are never read again, because ids are never reissued.
 
 The greedy scan is a pure function of ten integers (the agent's pixel and
 the pixels of its cyclic neighbours at -2, -1, +1 and +2), the field, the
@@ -93,6 +92,9 @@ class SnakeParams:
     min_contour_size: int = 4
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.alpha < 0.0 or self.beta < 0.0:
             raise ValueError("alpha and beta must be >= 0")
         if self.lam <= 0.0:
@@ -144,7 +146,7 @@ class Event:
 
 @dataclass
 class SupervisorState:
-    """All mutable run state; exactly one per segmentation run."""
+    """All mutable run state, one per run; agent and contour ids are never reissued."""
 
     width: int
     height: int
@@ -159,15 +161,15 @@ class SupervisorState:
     next_agent_id: int = 0
     next_contour_id: int = 0
     initial_agent_count: int = 0
-    # the sweep's indexes and stay memo (see the module docstring); step
-    # rebuilds the two maps from contours and agents when it starts
-    cycle_pos: dict[int, int] = dc_field(default_factory=dict, init=False,
-                                         repr=False, compare=False)
-    occupant: dict[tuple[int, int, int], int] = dc_field(
-        default_factory=dict, init=False, repr=False, compare=False)
+    # the stay memo and its basis outlive one step (see the module docstring)
     stay_memo: dict[int, tuple[int, ...]] = dc_field(
         default_factory=dict, init=False, repr=False, compare=False)
     stay_basis: tuple = dc_field(default=(), init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.next_agent_id = max(self.next_agent_id, max(self.agents, default=-1) + 1)
+        self.next_contour_id = max(self.next_contour_id,
+                                   max(self.contours, default=-1) + 1)
 
     def new_agent_id(self) -> int:
         aid = self.next_agent_id
@@ -383,16 +385,12 @@ def init_agents(points, min_size: int, width: int, height: int) -> SupervisorSta
         return (ang, (x - cx) ** 2 + (y - cy) ** 2, aid)
 
     ordered = sorted(enumerate(placed), key=angle_key)
-    state = SupervisorState(width=width, height=height)
-    cid = state.new_contour_id()
-    for aid, (x, y) in enumerate(placed):
-        state.agents[aid] = ExplorerAgent(id=aid, x=x, y=y, contour_id=cid)
-    state.next_agent_id = len(placed)
-    contour = Contour(id=cid, agent_ids=[aid for aid, _ in ordered])
+    contour = Contour(id=0, agent_ids=[aid for aid, _ in ordered])
     contour.canonicalize()
-    state.contours[cid] = contour
-    state.initial_agent_count = len(placed)
-    return state
+    agents = {aid: ExplorerAgent(id=aid, x=x, y=y, contour_id=0)
+              for aid, (x, y) in enumerate(placed)}
+    return SupervisorState(width=width, height=height, contours={0: contour},
+                           agents=agents, initial_agent_count=len(placed))
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +441,6 @@ def split_contour(state: SupervisorState, contour: Contour, i: int, j: int,
     if not (0 <= i < j < n):
         raise ValueError(f"positions {i}, {j} invalid for a contour of {n} agents")
     merged, kept, dropped = _settlement(contour, i, j, params.min_contour_size)
-    _unindex_contour(state, contour)
     if merged is not None:
         events = [Event(state.iteration, DISCARD, contour_ids=(contour.id,),
                         agent_ids=(merged,))]
@@ -452,8 +449,6 @@ def split_contour(state: SupervisorState, contour: Contour, i: int, j: int,
         contour.canonicalize()
         if dropped:
             events.append(_drop_contour(state, contour))
-        else:
-            _index_contour(state, contour)
     else:
         del state.contours[contour.id]
         new_ids = []
@@ -464,7 +459,6 @@ def split_contour(state: SupervisorState, contour: Contour, i: int, j: int,
             state.contours[cid] = sub
             for aid in arc:
                 state.agents[aid].contour_id = cid
-            _index_contour(state, sub)
             new_ids.append(cid)
         events = [Event(state.iteration, SPLIT, contour_ids=(contour.id, *new_ids),
                         agent_ids=(contour.agent_ids[i], contour.agent_ids[j]))]
@@ -479,7 +473,6 @@ def split_contour(state: SupervisorState, contour: Contour, i: int, j: int,
 
 def _drop_contour(state: SupervisorState, contour: Contour) -> Event:
     """Delete a contour with its agents; returns the DISCARD event naming them."""
-    _unindex_contour(state, contour)
     remaining = tuple(contour.agent_ids)
     for aid in remaining:
         del state.agents[aid]
@@ -488,23 +481,14 @@ def _drop_contour(state: SupervisorState, contour: Contour) -> Event:
                  agent_ids=remaining)
 
 
-def _index_contour(state: SupervisorState, contour: Contour) -> None:
+def _index_contour(contour: Contour, agents: Mapping[int, ExplorerAgent],
+                   cycle_pos: dict[int, int], occupant: dict) -> None:
     """Enter every agent of the contour into the cycle-position and pixel maps."""
     cid = contour.id
-    cycle_pos, occupant, agents = state.cycle_pos, state.occupant, state.agents
     for k, aid in enumerate(contour.agent_ids):
         agent = agents[aid]
         cycle_pos[aid] = k
         occupant[(cid, agent.x, agent.y)] = aid
-
-
-def _unindex_contour(state: SupervisorState, contour: Contour) -> None:
-    """Remove the contour's agents, at their current pixels, from both maps."""
-    cid = contour.id
-    for aid in contour.agent_ids:
-        agent = state.agents[aid]
-        state.cycle_pos.pop(aid, None)
-        state.occupant.pop((cid, agent.x, agent.y), None)
 
 
 def _settlement_delta(state: SupervisorState, contour: Contour, i: int, j: int,
@@ -535,12 +519,11 @@ def step(state: SupervisorState, field: ScalarField, params: SnakeParams) -> lis
     if basis != state.stay_basis:
         state.stay_basis = basis
         state.stay_memo = {}
-    state.cycle_pos = {}
-    state.occupant = {}
-    for contour in state.contours.values():
-        _index_contour(state, contour)
-    agents, contours = state.agents, state.contours
-    cycle_pos, occupant, stay_memo = state.cycle_pos, state.occupant, state.stay_memo
+    agents, contours, stay_memo = state.agents, state.contours, state.stay_memo
+    cycle_pos: dict[int, int] = {}
+    occupant: dict[tuple[int, int, int], int] = {}
+    for contour in contours.values():
+        _index_contour(contour, agents, cycle_pos, occupant)
     values, width, height = field.values, state.width, state.height
     alpha, beta = params.alpha, params.beta
     moved = 0
@@ -573,7 +556,10 @@ def step(state: SupervisorState, field: ScalarField, params: SnakeParams) -> lis
         settle = _settlement_delta(state, contour, i, j, field, params)
         if delta + settle <= 0.0:
             del occupant[(cid, *old)]
-            split_contour(state, contour, i, j, params)
+            # re-enter what the settlement left: the merged contour or new arcs
+            for kept in split_contour(state, contour, i, j, params)[0].contour_ids:
+                if kept in contours:
+                    _index_contour(contours[kept], agents, cycle_pos, occupant)
             state.current_energy += delta + settle
             moved += 1
         else:
@@ -657,7 +643,6 @@ def resample_contour(state: SupervisorState, contour: Contour,
         else:
             break
     if inserted:
-        _index_contour(state, contour)
         event = Event(state.iteration, RESAMPLE, contour_ids=(contour.id,),
                       agent_ids=tuple(inserted))
         state.events.append(event)
@@ -725,26 +710,26 @@ def resume_segmentation(img: Image, carried, params: SnakeParams) -> Segmentatio
     points differ in number or when an agent id or contour id appears twice.
     """
     field = external_energy_map(img, params.sigma, params.lam)
-    state = SupervisorState(width=img.width, height=img.height)
+    contours: dict[int, Contour] = {}
+    agents: dict[int, ExplorerAgent] = {}
     for k, rec in enumerate(carried):
         where = f"carried record {k} (contour {rec.id})"
         if len(rec.agent_ids) != len(rec.points):
             raise ValueError(f"{where} has {len(rec.agent_ids)} agent ids "
                              f"but {len(rec.points)} points")
-        if rec.id in state.contours:
+        if rec.id in contours:
             raise ValueError(f"{where}: contour id {rec.id} appears twice")
         contour = Contour(id=rec.id, agent_ids=list(rec.agent_ids))
         contour.canonicalize()
-        state.contours[rec.id] = contour
+        contours[rec.id] = contour
         for aid, (x, y) in zip(rec.agent_ids, rec.points):
-            if aid in state.agents:
+            if aid in agents:
                 raise ValueError(f"{where}: agent id {aid} appears twice")
             x = min(max(int(x), 0), img.width - 1)
             y = min(max(int(y), 0), img.height - 1)
-            state.agents[aid] = ExplorerAgent(id=aid, x=x, y=y, contour_id=rec.id)
-    state.next_agent_id = max(state.agents, default=-1) + 1
-    state.next_contour_id = max(state.contours, default=-1) + 1
-    state.initial_agent_count = max(len(state.agents), 1)
+            agents[aid] = ExplorerAgent(id=aid, x=x, y=y, contour_id=rec.id)
+    state = SupervisorState(width=img.width, height=img.height, contours=contours,
+                            agents=agents, initial_agent_count=max(len(agents), 1))
     # settle clamp-induced coincidences and undersized contours up front so
     # the recorded energy history starts from a clean state
     _settle_clamped_coincidences(state, params)

@@ -52,6 +52,9 @@ class DetectorParams:
     ratio: float = 0.7
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.hessian_threshold <= 0.0:
             raise ValueError("hessian_threshold must be > 0")
         if self.octaves < 1:
@@ -265,7 +268,14 @@ def _wavelet_half(scale):
 
 
 def _assign_orientations(ii: IntegralImage, kps: list[KeyPoint]) -> None:
-    """`assign_orientation` for every keypoint of a list, in place."""
+    """Dominant Haar-response direction of every keypoint, in [0, 2*pi), in place.
+
+    Weighted horizontal/vertical Haar responses (wavelet side 4 * scale) are
+    sampled on a disk of radius 6 * scale; the orientation is the angle of
+    the largest response vector summed over a sliding pi/3 window stepped by
+    pi/36 (the first such window on ties). If the disk does not fit inside
+    the image the orientation is 0 and the keypoint is flagged.
+    """
     w, h = ii.width, ii.height
     inside = []
     for kp in kps:
@@ -293,7 +303,14 @@ def _assign_orientations(ii: IntegralImage, kps: list[KeyPoint]) -> None:
 
 
 def _compute_descriptors(ii: IntegralImage, kps: list[KeyPoint]) -> None:
-    """`compute_descriptor` for every keypoint of a list, in place."""
+    """64-component oriented Haar descriptor of every keypoint, in place.
+
+    The 20s x 20s window around the keypoint, rotated by its orientation, is
+    split into 4x4 subregions sampled 5x5 each; every subregion contributes
+    (sum dx, sum dy, sum |dx|, sum |dy|) of Gaussian-weighted responses
+    rotated into the keypoint frame. The descriptor is unit length unless
+    all-zero.
+    """
     n = len(kps)
     shape = (-1, 1, 1)
     s = _column(kps, "scale", shape)
@@ -318,37 +335,12 @@ def _compute_descriptors(ii: IntegralImage, kps: list[KeyPoint]) -> None:
         kp.descriptor = desc
 
 
-def assign_orientation(ii: IntegralImage, kp: KeyPoint) -> float:
-    """Dominant Haar-response direction around a keypoint, in [0, 2*pi).
-
-    Weighted horizontal/vertical Haar responses (wavelet side 4 * scale) are
-    sampled on a disk of radius 6 * scale; the orientation is the angle of
-    the largest response vector summed over a sliding pi/3 window stepped by
-    pi/36 (the first such window on ties). If the disk does not fit inside
-    the image the orientation is 0 and the keypoint is flagged.
-    """
-    _assign_orientations(ii, [kp])
-    return kp.orientation
-
-
-def compute_descriptor(ii: IntegralImage, kp: KeyPoint) -> np.ndarray:
-    """64-component oriented Haar descriptor, unit length unless all-zero.
-
-    The 20s x 20s window around the keypoint, rotated by its orientation, is
-    split into 4x4 subregions sampled 5x5 each; every subregion contributes
-    (sum dx, sum dy, sum |dx|, sum |dy|) of Gaussian-weighted responses
-    rotated into the keypoint frame.
-    """
-    _compute_descriptors(ii, [kp])
-    return kp.descriptor
-
-
 def describe_keypoints(ii: IntegralImage, kps: list[KeyPoint]) -> list[KeyPoint]:
     """Assign orientation and descriptor to every keypoint, in place.
 
-    Keypoints are processed DESCRIBE_CHUNK at a time with array operations;
-    each result is bitwise the one `assign_orientation` and
-    `compute_descriptor` give for that keypoint alone.
+    Keypoints are processed DESCRIBE_CHUNK at a time with array operations
+    (`_assign_orientations`, then `_compute_descriptors`); each result is
+    bitwise the one a list of that keypoint alone gives.
     """
     for start in range(0, len(kps), DESCRIBE_CHUNK):
         chunk = kps[start:start + DESCRIBE_CHUNK]

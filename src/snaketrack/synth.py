@@ -75,6 +75,8 @@ def sequence(kind: str, width: int, height: int, frames: int,
         raise ValueError(f"unknown scene kind {kind!r}; choose from {KINDS}")
     if frames < 1:
         raise ValueError("frames must be >= 1")
+    if not np.isfinite(speed):
+        raise ValueError(f"speed must be finite, got {speed!r}")
     _check_size(width, height)
     out = []
     for f in range(frames):

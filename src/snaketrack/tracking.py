@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TrackingLostError
-from .image import Image, IntegralImage, integral_image
+from .image import Image, integral_image
 from .snake import SegmentationResult, SnakeParams, resume_segmentation, run_segmentation
 from .surf import (DetectorParams, KeyPoint, copy_keypoint, describe_keypoints,
                    detect_keypoints, match_descriptors, select_extremity_points)
@@ -31,17 +31,15 @@ class TrackState:
     global_offset: tuple[float, float] = (0.0, 0.0)
 
 
-def _detect_described(img: Image, params: DetectorParams) -> tuple[IntegralImage, list[KeyPoint]]:
+def _detect_described(img: Image, params: DetectorParams) -> list[KeyPoint]:
     ii = integral_image(img)
-    kps = detect_keypoints(ii, params)
-    describe_keypoints(ii, kps)
-    return ii, kps
+    return describe_keypoints(ii, detect_keypoints(ii, params))
 
 
 def init_tracking(frame: Image, detector: DetectorParams,
                   snake: SnakeParams) -> tuple[TrackState, SegmentationResult]:
     """Detect, pick the eight extremity points, and segment the first frame."""
-    _, kps = _detect_described(frame, detector)
+    kps = _detect_described(frame, detector)
     selection = select_extremity_points(kps, frame.width, frame.height)
     result = run_segmentation(frame, selection.points, snake)
     tracked = [copy_keypoint(kp) for kp in selection.points]
@@ -60,7 +58,7 @@ def propagate_points(state: TrackState, frame: Image,
     descriptor. The offset is the component-wise median of the matched
     displacements, or (0, 0) when nothing matched.
     """
-    _, kps = _detect_described(frame, detector)
+    kps = _detect_described(frame, detector)
     updated = [copy_keypoint(kp) for kp in state.tracked_points]
     matched_to: list[KeyPoint | None] = [None] * len(updated)
     displacements = []

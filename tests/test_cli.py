@@ -55,6 +55,9 @@ def test_sequence_validation():
         synth.sequence("disk", 16, 64, 1)
     with pytest.raises(ValueError):
         synth.sequence("disk", 64, 64, 0)
+    for speed in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="speed"):
+            synth.sequence("translate_square", 64, 64, 2, speed=speed)
 
 
 # --- config parsing ---
@@ -256,6 +259,27 @@ def test_run_bad_parameter_value(tmp_path, capsys):
         assert main(["run", "--config", str(cfg)]) == 1
         assert capsys.readouterr().err == f"error: bad parameter: {message}\n"
         assert not (tmp_path / "out").exists()
+
+
+def test_run_non_finite_parameter(tmp_path, capsys):
+    make_frames(tmp_path, kind="square", size=64, frames=2)
+    for key, value in (("lam", "nan"), ("alpha", "nan"), ("sigma", "inf"),
+                       ("sigma", "nan"), ("max_spacing", "nan"),
+                       ("hessian_threshold", "nan")):
+        cfg = full_config(tmp_path, octaves=4, **{key: value})
+        assert main(["run", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: bad parameter: {key} must be finite, got {value}\n")
+        assert not (tmp_path / "out").exists()
+
+
+def test_synth_command_rejects_non_finite_speed(tmp_path, capsys):
+    for speed in ("nan", "inf"):
+        assert main(["synth", "--kind", "translate_square", "--size", "64x64",
+                     "--frames", "2", "--speed", speed,
+                     "--out", str(tmp_path / "frames")]) == 1
+        assert "speed" in capsys.readouterr().err
+        assert not (tmp_path / "frames").exists()
 
 
 def test_run_frame_sample_above_maxval(tmp_path, capsys):

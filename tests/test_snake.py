@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from snaketrack.errors import InitializationError
@@ -16,7 +16,9 @@ from snaketrack.snake import (
     SPLIT,
     Contour,
     ContourResult,
+    ExplorerAgent,
     SnakeParams,
+    SupervisorState,
     external_energy,
     init_agents,
     internal_energy,
@@ -58,6 +60,10 @@ def test_params_validation():
         with pytest.raises(ValueError):
             SnakeParams(**bad)
     assert SnakeParams(max_spacing=0.0).max_spacing == 0.0  # 0 disables
+    for name in ("alpha", "beta", "lam", "sigma", "max_spacing"):
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=f"^{name} must be finite"):
+                SnakeParams(**{name: value})
 
 
 def test_init_orders_agents_by_angle():
@@ -302,6 +308,23 @@ def test_resample_respects_agent_cap():
     assert len(state.agents) == 4
 
 
+def test_hand_built_state_never_reissues_ids():
+    # the next ids are left at their defaults; resampling must not reuse the
+    # ids of the agents the state was built with
+    corners = [(10, 10), (30, 10), (30, 30), (10, 30)]
+    state = SupervisorState(
+        width=40, height=40, contours={0: Contour(id=0, agent_ids=[0, 1, 2, 3])},
+        agents={aid: ExplorerAgent(id=aid, x=x, y=y, contour_id=0)
+                for aid, (x, y) in enumerate(corners)},
+        initial_agent_count=4)
+    assert (state.next_agent_id, state.next_contour_id) == (4, 1)
+    step(state, zero_field(), SnakeParams(alpha=0.0, beta=0.0, max_spacing=4.0))
+    ids = state.contours[0].agent_ids
+    assert [state.agents[aid].pos for aid in range(4)] == corners
+    assert sorted(ids) == sorted(state.agents) == list(range(len(ids)))
+    assert len(ids) > 4
+
+
 def test_step_stalls_when_no_move_improves():
     state, ring = ring_state()
     state.current_energy = total_energy(state, state.positions(), zero_field(), FREE)
@@ -474,13 +497,9 @@ def assert_supervisor_invariants(state, field, params, start):
     assert abs(state.current_energy - recomputed) <= 1e-9
     hist = state.energy_history
     assert all(b <= a for a, b in zip(hist, hist[1:]))
-    # the sweep's maps equal maps rebuilt from the contours and agents
+    # an agent the stay memo would skip is one its scan keeps in place
     cycle_pos = {aid: k for c in state.contours.values()
                  for k, aid in enumerate(c.agent_ids)}
-    assert state.cycle_pos == cycle_pos
-    assert state.occupant == {(a.contour_id, a.x, a.y): aid
-                              for aid, a in state.agents.items()}
-    # an agent the stay memo would skip is one its scan keeps in place
     for aid, agent in state.agents.items():
         key = snake._visit_key(state, agent, cycle_pos[aid])
         if state.stay_memo.get(aid) == key:
@@ -512,6 +531,9 @@ def test_sweeps_keep_supervisor_invariants(size, field_seed, pts, params):
                                   min_size=3, max_size=12),
                          min_size=1, max_size=3),
        params=PARAMS)
+# a split whose second arc moves again in the same sweep
+@example(size=16, image_seed=0, contours=[[(0, 0), (0, 1), (1, 0), (0, 6)]],
+         params=SnakeParams(alpha=0.0, beta=0.0, max_spacing=4.0))
 def test_resume_keeps_supervisor_invariants(size, image_seed, contours, params):
     # points outside the frame clamp onto shared border pixels
     img = Image(pixels=np.random.default_rng(image_seed).random((size, size)))

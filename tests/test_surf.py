@@ -12,8 +12,6 @@ from snaketrack.surf import (
     BASE_SCALE,
     DetectorParams,
     KeyPoint,
-    assign_orientation,
-    compute_descriptor,
     copy_keypoint,
     describe_keypoints,
     detect_keypoints,
@@ -48,6 +46,10 @@ def test_detector_params_validation():
     with pytest.raises(ValueError):
         DetectorParams(ratio=1.2)
     DetectorParams(ratio=1.0)  # inclusive upper end
+    for name in ("hessian_threshold", "ratio"):
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=f"^{name} must be finite"):
+                DetectorParams(**{name: value})
 
 
 def test_constant_image_has_no_keypoints():
@@ -237,22 +239,24 @@ def test_orientation_follows_gradient():
     # intensity increasing along +x: dominant haar response points at angle 0
     ramp = Image(pixels=np.tile(np.linspace(0.0, 1.0, 64), (64, 1)))
     kp = mkkp(32.0, 32.0)
-    theta = assign_orientation(integral_image(ramp), kp)
+    describe_keypoints(integral_image(ramp), [kp])
+    theta = kp.orientation
     assert abs(theta) < math.pi / 36 or abs(theta - 2 * math.pi) < math.pi / 36
     assert not kp.orientation_fallback
 
     rampy = Image(pixels=np.tile(np.linspace(0.0, 1.0, 64).reshape(-1, 1), (1, 64)))
     kpy = mkkp(32.0, 32.0)
-    assert assign_orientation(integral_image(rampy), kpy) == pytest.approx(
-        math.pi / 2, abs=math.pi / 36)
+    describe_keypoints(integral_image(rampy), [kpy])
+    assert kpy.orientation == pytest.approx(math.pi / 2, abs=math.pi / 36)
 
 
 def test_orientation_in_range():
     rng = np.random.RandomState(11)
     ii = integral_image(Image(pixels=rng.random_sample((64, 64))))
     for x, y in [(20, 20), (32, 40), (45, 25)]:
-        theta = assign_orientation(ii, mkkp(x, y))
-        assert 0.0 <= theta < 2.0 * math.pi
+        kp = mkkp(x, y)
+        describe_keypoints(ii, [kp])
+        assert 0.0 <= kp.orientation < 2.0 * math.pi
 
 
 def test_descriptor_unit_norm():
@@ -268,8 +272,7 @@ def test_descriptor_unit_norm():
 def test_descriptor_constant_patch_is_zero():
     ii = integral_image(Image(pixels=np.full((64, 64), 0.5)))
     kp = mkkp(32.0, 32.0)
-    assign_orientation(ii, kp)
-    compute_descriptor(ii, kp)
+    describe_keypoints(ii, [kp])
     assert np.all(kp.descriptor == 0.0)
 
 
@@ -293,8 +296,7 @@ def test_describe_batch_equals_each_keypoint_alone():
     alone = [copy_keypoint(kp) for kp in batch]
     assert describe_keypoints(ii, batch) is batch
     for kp in alone:
-        assign_orientation(ii, kp)
-        compute_descriptor(ii, kp)
+        describe_keypoints(ii, [kp])
     flags = [kp.orientation_fallback for kp in batch]
     assert 0 < sum(flags) < n
     for got, want in zip(batch, alone):

@@ -130,7 +130,7 @@ def _described(x, y, axis, length=1.0):
 def propagate_against(monkeypatch, tracked, detections, detector=DETECTOR):
     """propagate_points with the frame's detections replaced by `detections`."""
     monkeypatch.setattr(tracking, "_detect_described",
-                        lambda frame, params: (None, detections))
+                        lambda frame, params: detections)
     state = TrackState(frame_index=0, tracked_points=tracked, prev_result=None)
     return propagate_points(state, None, detector)
 
