@@ -14,6 +14,11 @@ import numpy as np
 from .errors import DecodeError
 
 _WHITESPACE = b" \t\n\r\x0b\x0c"
+_IS_SPACE = np.zeros(256, dtype=bool)
+_IS_SPACE[list(_WHITESPACE)] = True
+
+_MAX_DIGITS = 18                                # 10**18 - 1 < 2**63
+_POW10 = 10 ** np.arange(_MAX_DIGITS, dtype=np.int64)
 
 LUMA_WEIGHTS = (0.299, 0.587, 0.114)
 
@@ -63,19 +68,27 @@ class _Tokenizer:
 def _ascii_samples(tok: _Tokenizer, count: int, maxval: int) -> np.ndarray:
     """The next `count` plain-text samples; tokens after them are ignored.
 
-    When the first `count` whitespace-separated tokens are all digits and at
-    most maxval, one split and one conversion read them. A comment among
-    them makes a token containing '#', which is not all digits. Anything
-    else goes through the tokenizer, which names the byte offset of the
-    first bad, missing or out-of-range sample.
+    One array pass reads the raster when its first `count` tokens are all
+    ASCII digits, at most 18 each (so every value fits in int64) and at
+    most maxval: each byte is classed as whitespace or not, tokens run
+    between the edges of that class, and each value is the sum of its
+    digits times powers of ten. A comment among those tokens holds '#',
+    which is not a digit. Anything else goes through the tokenizer, which
+    names the byte offset of the first bad, missing or out-of-range sample.
     """
-    tokens = tok.data[tok.pos:].split(None, count)[:count]
-    if len(tokens) == count and b"".join(tokens).isdigit():
-        try:
-            values = np.array(tokens, dtype=np.int64)
-        except OverflowError:   # too many digits to be <= maxval
-            pass
-        else:
+    raw = np.frombuffer(tok.data, dtype=np.uint8, offset=tok.pos)
+    solid = ~_IS_SPACE[raw]
+    edges = np.flatnonzero(np.diff(solid, prepend=False, append=False))
+    starts, ends = edges[0:2 * count:2], edges[1:2 * count:2]
+    if starts.size == count:
+        lengths = ends - starts
+        digits = raw[:ends[-1]] - ord("0")
+        if lengths.max() <= _MAX_DIGITS and (~solid[:ends[-1]] | (digits < 10)).all():
+            at = np.flatnonzero(solid[:ends[-1]])
+            first = np.zeros(count, dtype=np.int64)
+            np.cumsum(lengths[:-1], out=first[1:])
+            power = _POW10[np.repeat(ends, lengths) - 1 - at]
+            values = np.add.reduceat(digits[at] * power, first)
             if values.max() <= maxval:
                 return values.astype(np.float64)
     out = np.empty(count, dtype=np.float64)

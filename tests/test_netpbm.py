@@ -184,6 +184,13 @@ def test_path_taken(monkeypatch):
     with pytest.raises(DecodeError):
         netpbm.decode(b"P2 2 1 255\n+5 3\n")
     assert len(calls) == 1
+    # 18 digits fit int64 for the array pass; a 19th sends the raster to the
+    # tokenizer even when the value is in range
+    calls.clear()
+    netpbm.decode(b"P2 2 1 255\n000000000000000001 2\n")
+    assert calls == []
+    netpbm.decode(b"P2 2 1 255\n0000000000000000001 2\n")
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("data, message", [
@@ -202,3 +209,52 @@ def test_bad_raster_messages(data, message):
     with pytest.raises(DecodeError) as exc:
         netpbm.decode(data)
     assert str(exc.value) == message
+
+
+def tokenizer_samples(tok, count, maxval):
+    """Reference: every sample read by the tokenizer, one at a time."""
+    return np.array([tok.next_int("sample", upper=maxval) for _ in range(count)],
+                    dtype=np.float64)
+
+
+def outcome(data):
+    try:
+        return netpbm.decode(data).tobytes()
+    except DecodeError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("data", [
+    # bytes that wrap around in uint8 arithmetic next to digits: '/' is
+    # '0' - 1, ':' is '9' + 1, and bytes from 0x80 on are negative as int8
+    b"P2 2 1 255\n1/ 2\n",
+    b"P2 2 1 255\n1 :2\n",
+    b"P2 2 1 255\n1 2\x80\n",
+    b"P2 2 1 255\n\xff1 2\n",
+    b"P2 2 1 255\n1 \xb02\n",
+    b"P2 2 1 255\n1 2 \xff trailing bytes are never read\n",
+    # vertical tab and form feed separate tokens
+    b"P2 2 2 255\n1\x0b2\x0c3\x0b\x0c4",
+    # leading zeros: 18 and 19 digits, in range and out of range
+    b"P2 2 1 255\n000000000000000255 000000000000000007\n",
+    b"P2 2 1 255\n0000000000000000255 7\n",
+    b"P2 2 1 255\n000000000000000256 7\n",
+    b"P2 2 1 255\n999999999999999999 7\n",
+    b"P2 2 1 255\n9999999999999999999 7\n",
+    # the last token ends at the end of the data, or data ends short
+    b"P2 2 1 255\n1 2",
+    b"P2 2 1 255\n1 ",
+    b"P2 2 1 255\n",
+    b"P2 2 1 255",
+    # 1x1
+    b"P2 1 1 255\n7",
+    b"P2 1 1 65535 65535\n",
+    b"P2 1 1 1\n2\n",
+    # P3, plain colour
+    b"P3 2 1 255\n255 0 0 0 255 0\n",
+    b"P3 1 1 255\n1 2 x\n",
+], ids=lambda data: repr(data)[2:40])
+def test_array_parse_equals_tokenizer(data, monkeypatch):
+    fast = outcome(data)
+    monkeypatch.setattr(netpbm, "_ascii_samples", tokenizer_samples)
+    assert fast == outcome(data)

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from snaketrack import surf, synth
 from snaketrack.errors import ExtremitySelectionError
@@ -10,8 +12,12 @@ from snaketrack.image import Image, box_sum_grid, edge_extended, integral_image
 from snaketrack.surf import (
     BASE_FILTER,
     BASE_SCALE,
+    LONE_MATCH_LIMIT,
+    ORIENTATION_WINDOW,
+    TWO_PI,
     DetectorParams,
     KeyPoint,
+    Match,
     copy_keypoint,
     describe_keypoints,
     detect_keypoints,
@@ -235,6 +241,43 @@ def test_singular_hessian_keeps_grid_position_and_others_refine(monkeypatch):
     assert kps[1].scale == BASE_SCALE * sizes[2] / BASE_FILTER
 
 
+def refine_one(cube):
+    """Reference: one cube's offset solved alone, as a per-maximum loop does."""
+    grad = 0.5 * np.array([cube[2, 1, 1] - cube[0, 1, 1], cube[1, 2, 1] - cube[1, 0, 1],
+                           cube[1, 1, 2] - cube[1, 1, 0]])
+    center = cube[1, 1, 1]
+    dss = cube[2, 1, 1] - 2.0 * center + cube[0, 1, 1]
+    dyy = cube[1, 2, 1] - 2.0 * center + cube[1, 0, 1]
+    dxx = cube[1, 1, 2] - 2.0 * center + cube[1, 1, 0]
+    dsy = 0.25 * (cube[2, 2, 1] - cube[2, 0, 1] - cube[0, 2, 1] + cube[0, 0, 1])
+    dsx = 0.25 * (cube[2, 1, 2] - cube[2, 1, 0] - cube[0, 1, 2] + cube[0, 1, 0])
+    dyx = 0.25 * (cube[1, 2, 2] - cube[1, 2, 0] - cube[1, 0, 2] + cube[1, 0, 0])
+    hess = np.array([[dss, dsy, dsx], [dsy, dyy, dyx], [dsx, dyx, dxx]])
+    try:
+        offset = np.linalg.solve(hess, -grad)
+    except np.linalg.LinAlgError:
+        return np.zeros(3)
+    return np.zeros(3) if np.abs(offset).max() > 1.0 else offset
+
+
+@pytest.mark.parametrize("singular", [False, True])
+def test_batched_refine_equals_per_cube_solve(singular):
+    rng = np.random.RandomState(13)
+    resp = rng.standard_normal((4, 16, 16))
+    if singular:
+        resp[0:3, 4:7, 9:12] = singular_cube()
+    s, y, x = (a.ravel() for a in np.mgrid[1:3, 1:15, 1:15])
+    got = surf._refine(resp, s, y, x)
+    want = np.array([refine_one(resp[k - 1:k + 2, j - 1:j + 2, i - 1:i + 2])
+                     for k, j, i in zip(s, y, x)])
+    assert np.array_equal(got, want)
+    refined = np.any(got != 0.0, axis=1)
+    assert 0 < refined.sum() < len(s)
+    if singular:
+        (at,) = np.flatnonzero((s == 1) & (y == 5) & (x == 10))
+        assert not refined[at]
+
+
 def test_orientation_follows_gradient():
     # intensity increasing along +x: dominant haar response points at angle 0
     ramp = Image(pixels=np.tile(np.linspace(0.0, 1.0, 64), (64, 1)))
@@ -286,6 +329,24 @@ def test_descriptor_deterministic():
 
 
 
+def test_haar_xy_equals_box_sum_grid_differences():
+    # centres inside, on and far outside every edge: boxes that overhang the
+    # image or miss it entirely, whose four terms need not cancel exactly
+    rng = np.random.RandomState(15)
+    ii = integral_image(Image(pixels=rng.random_sample((23, 31))))
+    w, h, p = ii.width, ii.height, ii.padded
+    cx = rng.randint(-12, w + 12, size=(60, 50))
+    cy = rng.randint(-12, h + 12, size=(60, 50))
+    half = rng.randint(1, 9, size=(60, 1))
+    hx, hy = surf._haar_xy(p, w, h, cx, cy, half)
+    right = box_sum_grid(p, w, h, cx, cy - half, cx + half - 1, cy + half - 1)
+    left = box_sum_grid(p, w, h, cx - half, cy - half, cx - 1, cy + half - 1)
+    lower = box_sum_grid(p, w, h, cx - half, cy, cx + half - 1, cy + half - 1)
+    upper = box_sum_grid(p, w, h, cx - half, cy - half, cx + half - 1, cy - 1)
+    assert np.array_equal(hx, right - left)
+    assert np.array_equal(hy, lower - upper)
+
+
 def test_describe_batch_equals_each_keypoint_alone():
     # more keypoints than one chunk, border ones falling back to orientation 0
     rng = np.random.RandomState(12)
@@ -314,6 +375,33 @@ def test_describe_empty_list():
     for kp in border:
         assert kp.orientation == 0.0 and kp.orientation_fallback
         assert kp.descriptor.shape == (64,)
+
+# every window's start and end (the end taken mod 2*pi), one ULP either side
+# of each, and both ends of [0, 2*pi]
+_EDGES = np.concatenate([surf._ORI_STARTS, np.mod(surf._ORI_STARTS + ORIENTATION_WINDOW, TWO_PI)])
+WINDOW_EDGES = np.clip(np.concatenate([_EDGES, np.nextafter(_EDGES, -np.inf),
+                                       np.nextafter(_EDGES, np.inf), [0.0, TWO_PI]]),
+                       0.0, TWO_PI)
+
+# arctan2 of a tiny negative y and a positive x is a tiny negative angle,
+# which np.mod rounds up to exactly 2*pi; a y of -0.0 gives +0.0
+COORDINATES = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                        st.sampled_from([0.0, -0.0, -5e-324, 5e-324, -1e-300, -1e-17, 1.0, -1.0]))
+
+
+def arctan2_angles(pairs):
+    x, y = np.array(pairs).T
+    return np.mod(np.arctan2(y, x), TWO_PI)
+
+
+@settings(max_examples=200)
+@given(st.lists(st.tuples(COORDINATES, COORDINATES), min_size=1, max_size=40).map(arctan2_angles))
+@example(WINDOW_EDGES)
+def test_orientation_window_mask_equals_mod(angles):
+    angles = angles.reshape(1, -1)
+    want = np.mod(angles[:, None, :] - surf._ORI_STARTS[:, None], TWO_PI) < ORIENTATION_WINDOW
+    assert np.array_equal(surf._orientation_windows(angles), want)
+
 
 def unit_desc(hot, value=1.0):
     d = np.zeros(64)
@@ -385,6 +473,86 @@ def test_match_collision_keeps_smaller_distance():
     matches = match_descriptors([a1, a2], [target, decoy], ratio=0.99)
     assert len(matches) == 1
     assert (matches[0].index_a, matches[0].index_b) == (0, 0)
+
+
+@pytest.mark.parametrize("side", ["a", "b"])
+def test_match_missing_descriptor_names_side_and_index(side):
+    kps = [mkkp(0, 0), mkkp(1, 1)]
+    kps[0].descriptor = unit_desc(0)
+    other = [mkkp(2, 2)]
+    other[0].descriptor = unit_desc(0)
+    a, b = (kps, other) if side == "a" else (other, kps)
+    with pytest.raises(ValueError, match=f"^keypoint 1 of {side} has no descriptor"):
+        match_descriptors(a, b)
+
+
+def loop_match(a, b, ratio):
+    """Reference: the per-keypoint loop the matrix matcher replaced."""
+    if not a or not b:
+        return []
+    descs_b = np.stack([kp.descriptor for kp in b])
+    signs_b = np.array([kp.laplacian_sign for kp in b])
+    claims = {}
+    for i, kp in enumerate(a):
+        idx = np.nonzero(signs_b == kp.laplacian_sign)[0]
+        if idx.size == 0:
+            continue
+        diff = descs_b[idx] - kp.descriptor
+        dists = np.sqrt((diff * diff).sum(axis=1))
+        order = np.argsort(dists, kind="stable")
+        j1 = int(idx[order[0]])
+        d1 = float(dists[order[0]])
+        if idx.size == 1:
+            if d1 >= LONE_MATCH_LIMIT:
+                continue
+        else:
+            d2 = float(dists[order[1]])
+            if d2 <= 0.0 or d1 / d2 >= ratio:
+                continue
+        held = claims.get(j1)
+        if held is None or (d1, i) < held:
+            claims[j1] = (d1, i)
+    matches = [Match(i, j, d) for j, (d, i) in claims.items()]
+    matches.sort(key=lambda m: (m.distance, m.index_a, m.index_b))
+    return matches
+
+
+# few distinct descriptors, so duplicates, exact ties and lone candidates
+# closer than LONE_MATCH_LIMIT are common
+_PALETTE = [unit_desc(0), unit_desc(1), unit_desc(0, 0.9), unit_desc(0, 0.7),
+            unit_desc(2, 0.3), np.zeros(64), np.ones(64) / 8.0,
+            np.random.RandomState(14).random_sample(64)]
+MATCH_KEYPOINTS = st.lists(st.tuples(st.integers(0, len(_PALETTE) - 1), st.sampled_from([1, -1])),
+                           max_size=7)
+
+
+def palette_keypoints(drawn):
+    kps = []
+    for k, (colour, sign) in enumerate(drawn):
+        kp = mkkp(k, k, sign=sign)
+        kp.descriptor = _PALETTE[colour]
+        kps.append(kp)
+    return kps
+
+
+# a ratio above 1 accepts tied nearest candidates, so which of them is
+# nearest shows; blocks of 1 row up to all rows of a group at once
+@settings(max_examples=300)
+@given(MATCH_KEYPOINTS, MATCH_KEYPOINTS, st.sampled_from([0.5, 0.7, 0.99, 1.0, 1.5]),
+       st.sampled_from([surf.MATCH_BLOCK_BYTES, 1, 1024, 2048, 4096]))
+@example([(0, 1)], [(0, 1)], 0.7, surf.MATCH_BLOCK_BYTES)        # 1x1
+@example([(0, 1)], [(1, 1), (2, 1), (0, 1)], 0.7, 1)             # 1xn
+@example([(0, 1), (2, 1), (0, -1)], [(2, 1)], 0.7, 1)            # nx1, lone
+@example([(0, 1), (2, 1), (3, 1)], [(0, 1), (1, 1)], 0.99, 1)    # three claim b[0]
+@example([(0, 1)], [(1, 1), (4, 1)], 1.5, 1)                     # tied d1 == d2
+@example([(0, 1)], [(0, 1), (1, 1), (0, 1)], 0.7, 1)             # d2 == 0 behind a far one
+@example([(0, 1)] * 3, [(0, 1)], 0.7, 1024)                      # rows in blocks of 2
+@example([(0, 1), (0, 1)], [(0, -1), (0, -1)], 0.7, 1)           # no common sign
+def test_match_equals_per_keypoint_loop(drawn_a, drawn_b, ratio, block_bytes):
+    a, b = palette_keypoints(drawn_a), palette_keypoints(drawn_b)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(surf, "MATCH_BLOCK_BYTES", block_bytes)
+        assert match_descriptors(a, b, ratio) == loop_match(a, b, ratio)
 
 
 def test_extremity_bijection_when_enough_points():
