@@ -47,6 +47,15 @@ with the same ten integers stays without scanning. A move rejected as a
 collision is not remembered, since its settlement energy depends on the
 whole contour. step drops the memo when it is called with another field,
 alpha, beta or frame size.
+
+A run ends at the first sweep that changes nothing: no move or settlement
+is accepted and resampling inserts no agent. That is exact, not a
+heuristic. Such a sweep leaves the agents, contours, next ids and current
+energy as they were when it started (a move rejected as a collision is
+reverted), so the next sweep would see the same state, field and
+parameters, make the same choices, re-run the same rejected insertion
+trials and change nothing either: the state is a fixed point of step. A
+run also ends at max_iters and when no agent is left.
 """
 
 from __future__ import annotations
@@ -87,7 +96,6 @@ class SnakeParams:
     lam: float = 1.0
     sigma: float = 1.0
     max_iters: int = 500
-    stall_window: int = 5
     max_spacing: float = 12.0
     min_contour_size: int = 4
 
@@ -103,8 +111,6 @@ class SnakeParams:
             raise ValueError("sigma must be >= 0")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.stall_window < 1:
-            raise ValueError("stall_window must be >= 1")
         if self.max_spacing < 0.0:
             raise ValueError("max_spacing must be >= 0 (0 disables resampling)")
         if self.min_contour_size < 3:
@@ -156,7 +162,8 @@ class SupervisorState:
     events: list[Event] = dc_field(default_factory=list)
     energy_history: list[float] = dc_field(default_factory=list)
     converged: bool = False
-    stall: int = 0
+    # the last sweep changed nothing, so the state is a fixed point of step
+    fixed_point: bool = False
     current_energy: float = 0.0
     next_agent_id: int = 0
     next_contour_id: int = 0
@@ -196,9 +203,9 @@ class ContourResult:
 class SegmentationResult:
     """Contours, event log and energy history of one run.
 
-    converged is True when the run ended because no agent moved for
-    stall_window sweeps or no agent was left, and False when it stopped at
-    max_iters.
+    iterations counts the sweeps up to and including the first one that
+    changed nothing. converged is True when the run reached that fixed point
+    or no agent was left, and False when it stopped at max_iters first.
     """
 
     contours: tuple[ContourResult, ...]
@@ -508,9 +515,10 @@ def _settlement_delta(state: SupervisorState, contour: Contour, i: int, j: int,
 def step(state: SupervisorState, field: ScalarField, params: SnakeParams) -> list[Event]:
     """One supervisor iteration: sweep, collision settlement, resampling.
 
-    Returns the events logged during this call. Sets the converged flag once
-    no agent has moved for stall_window consecutive sweeps or the iteration
-    cap is reached.
+    Returns the events logged during this call. Sets the converged flag,
+    which ends the run, once a sweep changes nothing (no move or settlement
+    accepted, no agent inserted), the iteration cap is reached or no agent
+    is left.
     """
     if state.converged:
         return []
@@ -526,7 +534,7 @@ def step(state: SupervisorState, field: ScalarField, params: SnakeParams) -> lis
         _index_contour(contour, agents, cycle_pos, occupant)
     values, width, height = field.values, state.width, state.height
     alpha, beta = params.alpha, params.beta
-    moved = 0
+    changed = False
     for aid in sorted(agents):
         agent = agents.get(aid)
         if agent is None:
@@ -546,7 +554,7 @@ def step(state: SupervisorState, field: ScalarField, params: SnakeParams) -> lis
             occupant[(cid, *target)] = aid
             agent.x, agent.y = target
             state.current_energy += delta
-            moved += 1
+            changed = True
             continue
         # the move lands on a contour-mate: accept only if the move plus its
         # collision settlement does not raise the total energy
@@ -561,16 +569,16 @@ def step(state: SupervisorState, field: ScalarField, params: SnakeParams) -> lis
                 if kept in contours:
                     _index_contour(contours[kept], agents, cycle_pos, occupant)
             state.current_energy += delta + settle
-            moved += 1
+            changed = True
         else:
             agent.x, agent.y = old
     for cid in sorted(contours):
-        resample_contour(state, contours[cid], field, params)
+        if resample_contour(state, contours[cid], field, params):
+            changed = True
     state.iteration += 1
-    state.stall = state.stall + 1 if moved == 0 else 0
+    state.fixed_point = not changed
     state.energy_history.append(state.current_energy)
-    if (state.stall >= params.stall_window or state.iteration >= params.max_iters
-            or not state.agents):
+    if state.fixed_point or state.iteration >= params.max_iters or not state.agents:
         state.converged = True
         state.events.append(Event(state.iteration, CONVERGED,
                                   contour_ids=tuple(sorted(state.contours))))
@@ -671,7 +679,7 @@ def _build_result(state: SupervisorState, field: ScalarField,
         events=tuple(state.events),
         energy_history=tuple(state.energy_history),
         iterations=state.iteration,
-        converged=state.stall >= params.stall_window or not state.agents,
+        converged=state.fixed_point or not state.agents,
         low_confidence=low,
     )
 
@@ -688,8 +696,8 @@ def _run(state: SupervisorState, field: ScalarField,
 def run_segmentation(img: Image, seeds, params: SnakeParams) -> SegmentationResult:
     """Segment one frame from 8 seed keypoints.
 
-    Builds the external energy field, places the agents, and sweeps until
-    the moves stall or the iteration cap is reached.
+    Builds the external energy field, places the agents, and sweeps until a
+    sweep changes nothing, no agent is left or the iteration cap is reached.
     """
     field = external_energy_map(img, params.sigma, params.lam)
     state = init_agents(seeds, params.min_contour_size, img.width, img.height)

@@ -64,8 +64,13 @@ class DetectorParams:
             raise ValueError("octaves must be >= 1")
         if self.init_step < 1:
             raise ValueError("init_step must be >= 1")
-        if not 0.0 < self.ratio <= 1.0:
-            raise ValueError("ratio must lie in (0, 1]")
+        _check_ratio(self.ratio)
+
+
+def _check_ratio(ratio: float) -> None:
+    # a NaN fails the chained comparison, so it is rejected too
+    if not 0.0 < ratio <= 1.0:
+        raise ValueError("ratio must lie in (0, 1]")
 
 
 @dataclass(eq=False)
@@ -406,8 +411,9 @@ def match_descriptors(a: list[KeyPoint], b: list[KeyPoint],
     d1/d2 < ratio. A lone sign-compatible candidate is kept iff
     d1 < 0.5. When several keypoints of `a` claim the same keypoint of `b`
     only the smallest-distance claim survives (ties to the lower index in
-    `a`). Output is sorted by ascending distance. A keypoint of either side
-    without a descriptor raises ValueError.
+    `a`). Output is sorted by ascending distance. A ratio outside (0, 1],
+    NaN included, and a keypoint of either side without a descriptor raise
+    ValueError.
 
     Each sign's distances come from one matrix per block of rows of `a`
     (MATCH_BLOCK_BYTES of differences at a time); a row sums its 64 squared
@@ -415,6 +421,7 @@ def match_descriptors(a: list[KeyPoint], b: list[KeyPoint],
     does. The nearest is the first smallest distance (argmin, as a stable
     sort gives); d1 and d2 are the two smallest values (np.partition).
     """
+    _check_ratio(ratio)
     descs_a = _descriptors(a, "a")
     descs_b = _descriptors(b, "b")
     if not a or not b:

@@ -55,7 +55,7 @@ FREE = SnakeParams(alpha=0.0, beta=0.0, max_spacing=0.0)
 
 def test_params_validation():
     for bad in (dict(alpha=-0.1), dict(beta=-1.0), dict(lam=0.0),
-                dict(sigma=-0.5), dict(max_iters=0), dict(stall_window=0),
+                dict(sigma=-0.5), dict(max_iters=0),
                 dict(max_spacing=-1.0), dict(min_contour_size=2)):
         with pytest.raises(ValueError):
             SnakeParams(**bad)
@@ -330,10 +330,45 @@ def test_step_stalls_when_no_move_improves():
     state.current_energy = total_energy(state, state.positions(), zero_field(), FREE)
     state.energy_history.append(state.current_energy)
     events = step(state, zero_field(), FREE)
-    assert events == []
-    assert state.stall == 1
+    assert [(e.iteration, e.kind) for e in events] == [(1, CONVERGED)]
+    assert state.converged and state.fixed_point
     assert state.iteration == 1
     assert sorted(a.pos for a in state.agents.values()) == sorted(ring)
+
+
+def test_sweep_that_only_inserts_agents_does_not_end_the_run():
+    # nothing can move in the first sweep, which only inserts midpoints; the
+    # second moves the inserted agents onto the wells east of the midpoints
+    ring = [(20, 10), (27, 13), (30, 20), (27, 27),
+            (20, 30), (13, 27), (10, 20), (13, 13)]
+    vals = np.zeros((40, 40))
+    for (ax, ay), (bx, by) in zip(ring, ring[1:] + ring[:1]):
+        vals[ay, ax] = -1.0
+        vals[snake._iround((ay + by) / 2.0), snake._iround((ax + bx) / 2.0) + 1] = -0.5
+    field = ScalarField(values=vals, kind=EXTERNAL_ENERGY)
+    params = SnakeParams(alpha=0.0, beta=0.0, max_spacing=4.0)
+    state = init_agents([seed(x, y) for x, y in ring], 4, 40, 40)
+    sweeps = []
+
+    def recording_step(state, field, params):
+        before = state.positions()
+        events = step(state, field, params)
+        moved = sum(state.agents[aid].pos != pos for aid, pos in before.items())
+        sweeps.append((moved, len(state.agents) - len(before)))
+        return events
+
+    with mock.patch.object(snake, "step", recording_step):
+        result = snake._run(state, field, params)
+    # moves, then agents added, per sweep: the third changes nothing
+    assert sweeps == [(0, 16), (8, 2), (0, 0)]
+    assert result.iterations == 3 and result.converged
+    assert result.contours == (ContourResult(
+        id=0, agent_ids=(0, 9, 8, 1, 11, 10, 2, 13, 12, 24, 3, 14, 15, 4, 16, 17,
+                         5, 18, 19, 6, 25, 20, 21, 7, 23, 22),
+        points=((20, 10), (22, 11), (25, 12), (27, 13), (28, 15), (30, 17), (30, 20),
+                (30, 22), (30, 24), (29, 26), (27, 27), (25, 29), (22, 30), (20, 30),
+                (18, 29), (15, 28), (13, 27), (13, 24), (11, 22), (10, 20), (12, 19),
+                (13, 17), (13, 15), (13, 13), (15, 13), (18, 12))),)
 
 
 def test_run_converges_and_logs_event():
@@ -450,12 +485,14 @@ def test_settled_step_scans_no_agent():
 def test_stalled_state_moves_on_a_new_field():
     state, ring = ring_state()
     step(state, zero_field(), FREE)
-    assert len(state.stay_memo) == 8 and state.stall == 1
+    assert len(state.stay_memo) == 8 and state.fixed_point
+    state.converged = False
     agent = state.agents[0]
     vals = np.zeros((40, 40))
     vals[agent.y, agent.x + 1] = -1.0  # a deeper well east of agent 0
     step(state, ScalarField(values=vals, kind=EXTERNAL_ENERGY), FREE)
-    assert state.stall == 0
+    assert not state.fixed_point
+    assert 0 not in state.stay_memo
     assert agent.pos == (ring[0][0] + 1, ring[0][1])
 
 
@@ -508,6 +545,21 @@ def assert_supervisor_invariants(state, field, params, start):
             assert target == agent.pos
 
 
+def assert_fixed_point(state, field, params):
+    """A state whose last sweep changed nothing is a fixed point of step."""
+    def snapshot():
+        contours = {cid: list(c.agent_ids) for cid, c in state.contours.items()}
+        return (state.positions(), contours, state.next_agent_id,
+                state.next_contour_id, state.current_energy)
+
+    before = snapshot()
+    state.converged = False
+    events = step(state, field, params)
+    assert [e.kind for e in events] == [CONVERGED]
+    assert state.fixed_point
+    assert snapshot() == before
+
+
 @settings(max_examples=40)
 @given(size=st.integers(12, 32), field_seed=st.integers(0, 2**32 - 1),
        pts=st.lists(st.tuples(st.integers(0, 31), st.integers(0, 31)),
@@ -523,6 +575,8 @@ def test_sweeps_keep_supervisor_invariants(size, field_seed, pts, params):
     while not state.converged:
         step(state, field, params)
         assert_supervisor_invariants(state, field, params, start)
+    if state.fixed_point:
+        assert_fixed_point(state, field, params)
 
 
 @settings(max_examples=40)
@@ -547,9 +601,13 @@ def test_resume_keeps_supervisor_invariants(size, image_seed, contours, params):
     def checked_step(state, field, params):
         events = step(state, field, params)
         assert_supervisor_invariants(state, field, params, next_id)
-        steps.append(state.iteration)
+        steps.append((state, field))
         return events
 
     with mock.patch.object(snake, "step", checked_step):
         result = resume_segmentation(img, carried, params)
-    assert steps and steps[-1] == result.iterations
+    state, field = steps[-1]
+    assert len(steps) == state.iteration == result.iterations
+    assert result.converged == (state.fixed_point or not state.agents)
+    if state.fixed_point:
+        assert_fixed_point(state, field, params)

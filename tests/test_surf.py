@@ -449,6 +449,31 @@ def test_match_lone_candidate_distance_gate():
     assert match_descriptors([a], [far]) == []  # distance sqrt(2) >= 0.5
 
 
+@pytest.mark.parametrize("ratio", [math.nan, 0.0, 1.5, -math.inf])
+def test_match_rejects_ratio_outside_unit_interval(ratio):
+    a = mkkp(0, 0)
+    a.descriptor = unit_desc(0)
+    b1, b2 = mkkp(5, 5), mkkp(9, 9)
+    b1.descriptor = unit_desc(1)
+    b2.descriptor = unit_desc(2)
+    with pytest.raises(ValueError, match=r"^ratio must lie in \(0, 1\]$"):
+        match_descriptors([a], [b1, b2], ratio)
+    # checked before anything else, even a keypoint without a descriptor
+    with pytest.raises(ValueError, match=r"^ratio must lie in \(0, 1\]$"):
+        match_descriptors([mkkp(0, 0)], [], ratio)
+
+
+def test_match_ratio_one_still_matches():
+    a = mkkp(0, 0)
+    a.descriptor = unit_desc(0)
+    near, far = mkkp(5, 5), mkkp(9, 9)
+    near.descriptor = unit_desc(0)
+    near.descriptor[1] = 0.1
+    far.descriptor = unit_desc(1)
+    matches = match_descriptors([a], [near, far], ratio=1.0)
+    assert [(m.index_a, m.index_b) for m in matches] == [(0, 0)]
+
+
 def test_match_default_ratio_is_the_detector_default():
     default = inspect.signature(match_descriptors).parameters["ratio"].default
     assert default == DetectorParams().ratio
@@ -535,16 +560,16 @@ def palette_keypoints(drawn):
     return kps
 
 
-# a ratio above 1 accepts tied nearest candidates, so which of them is
-# nearest shows; blocks of 1 row up to all rows of a group at once
+# ratios up to 1, the largest the matcher accepts, where tied nearest
+# candidates are rejected; blocks of 1 row up to all rows of a group at once
 @settings(max_examples=300)
-@given(MATCH_KEYPOINTS, MATCH_KEYPOINTS, st.sampled_from([0.5, 0.7, 0.99, 1.0, 1.5]),
+@given(MATCH_KEYPOINTS, MATCH_KEYPOINTS, st.sampled_from([0.5, 0.7, 0.99, 1.0]),
        st.sampled_from([surf.MATCH_BLOCK_BYTES, 1, 1024, 2048, 4096]))
 @example([(0, 1)], [(0, 1)], 0.7, surf.MATCH_BLOCK_BYTES)        # 1x1
 @example([(0, 1)], [(1, 1), (2, 1), (0, 1)], 0.7, 1)             # 1xn
 @example([(0, 1), (2, 1), (0, -1)], [(2, 1)], 0.7, 1)            # nx1, lone
 @example([(0, 1), (2, 1), (3, 1)], [(0, 1), (1, 1)], 0.99, 1)    # three claim b[0]
-@example([(0, 1)], [(1, 1), (4, 1)], 1.5, 1)                     # tied d1 == d2
+@example([(0, 1)], [(1, 1), (4, 1)], 1.0, 1)                     # tied d1 == d2
 @example([(0, 1)], [(0, 1), (1, 1), (0, 1)], 0.7, 1)             # d2 == 0 behind a far one
 @example([(0, 1)] * 3, [(0, 1)], 0.7, 1024)                      # rows in blocks of 2
 @example([(0, 1), (0, 1)], [(0, -1), (0, -1)], 0.7, 1)           # no common sign
