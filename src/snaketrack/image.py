@@ -7,8 +7,8 @@ Conventions used throughout the package:
 * smoothing and gradients replicate edge pixels rather than zero-padding,
   so a constant image stays constant and border gradients stay finite;
 * the external energy field is the negated, squared, per-image-normalized
-  gradient magnitude of the smoothed image: values lie in [-lam, 0] and the
-  strongest edge pixels attain exactly -lam.
+  gradient magnitude of the smoothed image: values lie in [-1, 0] and the
+  strongest edge pixels attain exactly -1.
 """
 
 from __future__ import annotations
@@ -95,31 +95,27 @@ class ScalarField:
 
 @dataclass(frozen=True, eq=False)
 class IntegralImage:
-    """Summed-area table: table[y, x] holds the sum of pixels at or above-left of (x, y).
+    """Summed-area table behind a leading row and column of zeros.
 
-    A zero-padded copy (one extra leading row and column) is kept alongside so
-    box sums need no boundary special cases.
+    padded[y + 1, x + 1] holds the sum of pixels at or above-left of (x, y);
+    the zeros spare box sums any boundary special cases.
     """
 
-    table: np.ndarray
+    padded: np.ndarray
 
     def __post_init__(self):
-        table = np.asarray(self.table, dtype=np.float64)
-        if table.ndim != 2:
-            raise ValueError(f"expected a 2-d array, got shape {table.shape}")
-        h, w = table.shape
-        padded = np.zeros((h + 1, w + 1), dtype=np.float64)
-        padded[1:, 1:] = table
-        object.__setattr__(self, "table", _frozen(table))
+        padded = np.asarray(self.padded)
+        if padded.ndim != 2:
+            raise ValueError(f"expected a 2-d array, got shape {padded.shape}")
         object.__setattr__(self, "padded", _frozen(padded))
 
     @property
     def width(self) -> int:
-        return self.table.shape[1]
+        return self.padded.shape[1] - 1
 
     @property
     def height(self) -> int:
-        return self.table.shape[0]
+        return self.padded.shape[0] - 1
 
 
 def gaussian_kernel(sigma: float) -> np.ndarray:
@@ -178,25 +174,26 @@ def gradient_magnitude(img: Image) -> ScalarField:
     return ScalarField(np.hypot(gx, gy), GRADIENT_MAGNITUDE)
 
 
-def external_energy_map(img: Image, sigma: float, lam: float) -> ScalarField:
-    """Energy field -lam * (m / max m)^2, m the gradient magnitude at sigma.
+def external_energy_map(img: Image, sigma: float) -> ScalarField:
+    """Energy field -(m / max m)^2, m the gradient magnitude at sigma.
 
-    The image is smoothed at sigma first; lam must be > 0. A featureless
-    image (max m == 0) yields an all-zero field.
+    The image is smoothed at sigma first. A featureless image (max m == 0)
+    yields an all-zero field.
     """
-    if lam <= 0.0:
-        raise ValueError("lam must be > 0")
     m = gradient_magnitude(gaussian_smooth(img, sigma)).values
     peak = m.max()
     if peak == 0.0:
         return ScalarField(np.zeros_like(m), EXTERNAL_ENERGY)
     rel = m / peak
-    return ScalarField(-lam * rel * rel, EXTERNAL_ENERGY)
+    return ScalarField(-rel * rel, EXTERNAL_ENERGY)
 
 
 def integral_image(img: Image) -> IntegralImage:
-    """Build the summed-area table of an image."""
-    return IntegralImage(img.pixels.cumsum(axis=0).cumsum(axis=1))
+    """Build the zero-padded summed-area table of an image."""
+    padded = np.zeros((img.height + 1, img.width + 1))
+    np.cumsum(img.pixels, axis=0, out=padded[1:, 1:])
+    np.cumsum(padded[1:, 1:], axis=1, out=padded[1:, 1:])
+    return IntegralImage(padded)
 
 
 def box_sum_grid(padded: np.ndarray, width: int, height: int, x0, y0, x1, y1):

@@ -48,14 +48,15 @@ collision is not remembered, since its settlement energy depends on the
 whole contour. step drops the memo when it is called with another field,
 alpha, beta or frame size.
 
-A run ends at the first sweep that changes nothing: no move or settlement
-is accepted and resampling inserts no agent. That is exact, not a
-heuristic. Such a sweep leaves the agents, contours, next ids and current
+A run converges at the first sweep that changes nothing: no move or
+settlement is accepted and resampling inserts no agent. That is exact, not
+a heuristic. Such a sweep leaves the agents, contours, next ids and current
 energy as they were when it started (a move rejected as a collision is
 reverted), so the next sweep would see the same state, field and
 parameters, make the same choices, re-run the same rejected insertion
 trials and change nothing either: the state is a fixed point of step. A
-run also ends at max_iters and when no agent is left.
+run also converges when no agent is left; step logs CONVERGED in both
+cases. A run that reaches max_iters first ends without that event.
 """
 
 from __future__ import annotations
@@ -93,7 +94,6 @@ class SnakeParams:
 
     alpha: float = 0.05
     beta: float = 0.01
-    lam: float = 1.0
     sigma: float = 1.0
     max_iters: int = 500
     max_spacing: float = 12.0
@@ -105,8 +105,6 @@ class SnakeParams:
                 raise ValueError(f"{name} must be finite, got {value!r}")
         if self.alpha < 0.0 or self.beta < 0.0:
             raise ValueError("alpha and beta must be >= 0")
-        if self.lam <= 0.0:
-            raise ValueError("lam must be > 0")
         if self.sigma < 0.0:
             raise ValueError("sigma must be >= 0")
         if self.max_iters < 1:
@@ -161,9 +159,8 @@ class SupervisorState:
     iteration: int = 0
     events: list[Event] = dc_field(default_factory=list)
     energy_history: list[float] = dc_field(default_factory=list)
+    # the run has ended: it converged or reached max_iters
     converged: bool = False
-    # the last sweep changed nothing, so the state is a fixed point of step
-    fixed_point: bool = False
     current_energy: float = 0.0
     next_agent_id: int = 0
     next_contour_id: int = 0
@@ -204,8 +201,9 @@ class SegmentationResult:
     """Contours, event log and energy history of one run.
 
     iterations counts the sweeps up to and including the first one that
-    changed nothing. converged is True when the run reached that fixed point
-    or no agent was left, and False when it stopped at max_iters first.
+    changed nothing. converged is True when the last event is CONVERGED
+    (that fixed point was reached or no agent was left) and False when the
+    run stopped at max_iters first.
     """
 
     contours: tuple[ContourResult, ...]
@@ -231,11 +229,15 @@ def internal_energy(contour: Contour, positions: Mapping[int, tuple[int, int]],
     return float(0.5 * alpha * (d1 * d1).sum() + 0.5 * beta * (d2 * d2).sum())
 
 
+def _check_energy_field(field: ScalarField) -> None:
+    if field.kind != EXTERNAL_ENERGY:
+        raise ValueError(f"expected an external-energy field, got {field.kind!r}")
+
+
 def external_energy(contour: Contour, positions: Mapping[int, tuple[int, int]],
                     field: ScalarField) -> float:
     """Sum of the energy field over the contour's agent pixels."""
-    if field.kind != EXTERNAL_ENERGY:
-        raise ValueError(f"expected an external-energy field, got {field.kind!r}")
+    _check_energy_field(field)
     vals = field.values
     return float(sum(vals[positions[a][1], positions[a][0]]
                      for a in contour.agent_ids))
@@ -515,11 +517,12 @@ def _settlement_delta(state: SupervisorState, contour: Contour, i: int, j: int,
 def step(state: SupervisorState, field: ScalarField, params: SnakeParams) -> list[Event]:
     """One supervisor iteration: sweep, collision settlement, resampling.
 
-    Returns the events logged during this call. Sets the converged flag,
-    which ends the run, once a sweep changes nothing (no move or settlement
-    accepted, no agent inserted), the iteration cap is reached or no agent
-    is left.
+    Returns the events logged during this call. Logs CONVERGED once a sweep
+    changes nothing (no move or settlement accepted, no agent inserted) or
+    no agent is left. The converged flag, which ends the run, is set then
+    and at max_iters. Raises ValueError unless field is external energy.
     """
+    _check_energy_field(field)
     if state.converged:
         return []
     first_event = len(state.events)
@@ -576,12 +579,12 @@ def step(state: SupervisorState, field: ScalarField, params: SnakeParams) -> lis
         if resample_contour(state, contours[cid], field, params):
             changed = True
     state.iteration += 1
-    state.fixed_point = not changed
     state.energy_history.append(state.current_energy)
-    if state.fixed_point or state.iteration >= params.max_iters or not state.agents:
-        state.converged = True
+    done = not changed or not state.agents
+    if done:
         state.events.append(Event(state.iteration, CONVERGED,
                                   contour_ids=tuple(sorted(state.contours))))
+    state.converged = done or state.iteration >= params.max_iters
     return state.events[first_event:]
 
 
@@ -662,8 +665,7 @@ def resample_contour(state: SupervisorState, contour: Contour,
 # full runs
 
 
-def _build_result(state: SupervisorState, field: ScalarField,
-                  params: SnakeParams) -> SegmentationResult:
+def _build_result(state: SupervisorState, field: ScalarField) -> SegmentationResult:
     contours = []
     for cid in sorted(state.contours):
         c = state.contours[cid]
@@ -673,13 +675,13 @@ def _build_result(state: SupervisorState, field: ScalarField,
     vals = field.values
     final_external = sum(float(vals[y, x]) for c in contours for x, y in c.points)
     n = sum(len(c.points) for c in contours)
-    low = n == 0 or final_external > -LOW_CONFIDENCE_FACTOR * params.lam * n
+    low = n == 0 or final_external > -LOW_CONFIDENCE_FACTOR * n
     return SegmentationResult(
         contours=tuple(contours),
         events=tuple(state.events),
         energy_history=tuple(state.energy_history),
         iterations=state.iteration,
-        converged=state.fixed_point or not state.agents,
+        converged=bool(state.events) and state.events[-1].kind == CONVERGED,
         low_confidence=low,
     )
 
@@ -690,7 +692,7 @@ def _run(state: SupervisorState, field: ScalarField,
     state.energy_history.append(state.current_energy)
     while not state.converged:
         step(state, field, params)
-    return _build_result(state, field, params)
+    return _build_result(state, field)
 
 
 def run_segmentation(img: Image, seeds, params: SnakeParams) -> SegmentationResult:
@@ -699,7 +701,7 @@ def run_segmentation(img: Image, seeds, params: SnakeParams) -> SegmentationResu
     Builds the external energy field, places the agents, and sweeps until a
     sweep changes nothing, no agent is left or the iteration cap is reached.
     """
-    field = external_energy_map(img, params.sigma, params.lam)
+    field = external_energy_map(img, params.sigma)
     state = init_agents(seeds, params.min_contour_size, img.width, img.height)
     return _run(state, field, params)
 
@@ -717,7 +719,7 @@ def resume_segmentation(img: Image, carried, params: SnakeParams) -> Segmentatio
     Raises ValueError, naming the record, when a record's agent ids and
     points differ in number or when an agent id or contour id appears twice.
     """
-    field = external_energy_map(img, params.sigma, params.lam)
+    field = external_energy_map(img, params.sigma)
     contours: dict[int, Contour] = {}
     agents: dict[int, ExplorerAgent] = {}
     for k, rec in enumerate(carried):

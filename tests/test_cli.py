@@ -77,12 +77,12 @@ def full_config(tmp_path, **overrides):
 
 def test_parse_config_round_trip(tmp_path):
     path = full_config(
-        tmp_path, alpha=0.1, beta=0.02, lam=2.0, sigma=1.5, max_iters=50,
+        tmp_path, alpha=0.1, beta=0.02, sigma=1.5, max_iters=50,
         max_spacing=10.0, min_contour_size=5,
         hessian_threshold=0.001, octaves=2, init_step=2, ratio=0.8,
         frame_glob="img_*.pgm", emit_overlays="yes", dump_keypoints="off")
     cfg = parse_config(path.read_text())
-    assert cfg.snake == SnakeParams(alpha=0.1, beta=0.02, lam=2.0, sigma=1.5,
+    assert cfg.snake == SnakeParams(alpha=0.1, beta=0.02, sigma=1.5,
                                     max_iters=50, max_spacing=10.0,
                                     min_contour_size=5)
     assert cfg.detector == DetectorParams(hessian_threshold=0.001, octaves=2,
@@ -198,7 +198,7 @@ def test_run_single_frame(tmp_path):
     assert header_lines == [
         f"# input_dir={tmp_path / 'frames'}", "# frame_glob=frame_*.pgm",
         f"# output_dir={tmp_path / 'out'}", "# alpha=0.05", "# beta=0.01",
-        "# lam=1.0", "# sigma=1.0", "# max_iters=500",
+        "# sigma=1.0", "# max_iters=500",
         "# max_spacing=12.0", "# min_contour_size=4",
         "# hessian_threshold=0.0002", "# octaves=3", "# init_step=1",
         "# ratio=0.7", "# emit_overlays=False", "# dump_keypoints=False"]
@@ -262,17 +262,19 @@ def test_run_bad_parameter_value(tmp_path, capsys):
 
 
 def test_run_stall_window_is_an_unknown_key(tmp_path, capsys):
-    # a run ends at the first sweep that changes nothing; there is no knob
+    # a run ends at the first sweep that changes nothing, and the energy
+    # weights matter only through their ratios: neither needs a knob
     make_frames(tmp_path)
-    cfg = full_config(tmp_path, stall_window=5)
-    assert main(["run", "--config", str(cfg)]) == 1
-    assert capsys.readouterr().err == "error: line 5: unknown key 'stall_window'\n"
-    assert not (tmp_path / "out").exists()
+    for key in ("stall_window", "lam"):
+        cfg = full_config(tmp_path, **{key: 5})
+        assert main(["run", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == f"error: line 5: unknown key {key!r}\n"
+        assert not (tmp_path / "out").exists()
 
 
 def test_run_non_finite_parameter(tmp_path, capsys):
     make_frames(tmp_path, kind="square", size=64, frames=2)
-    for key, value in (("lam", "nan"), ("alpha", "nan"), ("sigma", "inf"),
+    for key, value in (("beta", "nan"), ("alpha", "nan"), ("sigma", "inf"),
                        ("sigma", "nan"), ("max_spacing", "nan"),
                        ("hessian_threshold", "nan")):
         cfg = full_config(tmp_path, octaves=4, **{key: value})

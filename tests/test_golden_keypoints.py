@@ -103,6 +103,31 @@ def test_descriptors_match_golden(name):
     assert np.abs(got_values - want_values).max(initial=0.0) <= DESCRIBE_TOLERANCE
 
 
+# Summed-area tables of img and img.T add the same pixels in different
+# orders, so positions and scales of transposed keypoints agree only up to
+# that rounding (at most 4e-11 px on these scenes).
+TRANSPOSE_TOLERANCE = 1e-10
+
+
+# square96 and disk128 are symmetric about the diagonal, and table rounding
+# breaks exact mirror ties between their responses one way in img and the
+# other in img.T: 1 and 2 dark-sign keypoints, among them square96's
+# (15.77, 10.01), come back as their mirror images.
+@pytest.mark.parametrize("name", ["blobs192", "noise160x120", "noise77x50"])
+def test_detection_commutes_with_transpose(name):
+    img, params = SCENES[name]()
+    kps = detect_keypoints(integral_image(img), params)
+    flipped = detect_keypoints(integral_image(Image(pixels=img.pixels.T)), params)
+    # the last column is the laplacian sign, so paired keypoints share it
+    a = np.array([[kp.x, kp.y, kp.scale, kp.laplacian_sign] for kp in kps])
+    b = np.array([[kp.y, kp.x, kp.scale, kp.laplacian_sign] for kp in flipped])
+    assert a.shape == b.shape
+    dist = np.abs(a[:, None, :] - b[None, :, :]).max(axis=2)
+    nearest = dist.argmin(axis=1)
+    assert sorted(nearest) == list(range(len(b)))
+    assert dist[np.arange(len(a)), nearest].max() <= TRANSPOSE_TOLERANCE
+
+
 if __name__ == "__main__":
     for path, writer in ((GOLDEN, dump), (GOLDEN_DESCRIPTORS, dump_descriptors)):
         recorded = json.loads(path.read_text()) if path.exists() else {}

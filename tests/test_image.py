@@ -62,8 +62,9 @@ def test_integral_image_corner_is_total():
     rng = np.random.RandomState(1)
     arr = rng.random_sample((6, 9))
     ii = integral_image(Image(pixels=arr))
-    assert ii.table[-1, -1] == pytest.approx(arr.sum(), rel=1e-12)
+    assert ii.padded[-1, -1] == pytest.approx(arr.sum(), rel=1e-12)
     assert ii.padded.shape == (7, 10)
+    assert (ii.width, ii.height) == (9, 6)
     assert np.all(ii.padded[0] == 0.0)
     assert np.all(ii.padded[:, 0] == 0.0)
 
@@ -224,7 +225,7 @@ def test_smooth_equals_scipy_correlate1d_bitwise(h, w, seed, sigma):
 def test_smooth_names_a_sigma_too_small_for_finite_taps():
     img = Image(pixels=np.random.default_rng(5).random((5, 5)))
     for smooth in (lambda: gaussian_smooth(img, 1e-170),
-                   lambda: external_energy_map(img, 1e-170, 1.0)):
+                   lambda: external_energy_map(img, 1e-170)):
         with pytest.raises(ValueError, match="sigma 1e-170 is too small"):
             smooth()
     # taps still finite: the kernel is the identity [0, 1, 0]
@@ -261,22 +262,19 @@ def test_gradient_zero_iff_constant():
 def test_external_energy_range_and_peak():
     rng = np.random.RandomState(4)
     img = Image(pixels=rng.random_sample((16, 16)))
-    lam = 2.5
-    field = external_energy_map(img, 1.0, lam)
+    field = external_energy_map(img, 1.0)
     assert field.kind == EXTERNAL_ENERGY
-    assert field.values.min() == pytest.approx(-lam)
+    assert field.values.min() == -1.0
     assert field.values.max() <= 0.0
     assert field.values.shape == (16, 16)
 
 
 def test_external_energy_flat_image_is_zero():
-    field = external_energy_map(Image(pixels=np.full((8, 8), 0.5)), 1.0, 1.0)
+    field = external_energy_map(Image(pixels=np.full((8, 8), 0.5)), 1.0)
     assert np.all(field.values == 0.0)
 
 
 def test_smoothing_params_validation():
     img = Image(pixels=np.full((8, 8), 0.5))
     with pytest.raises(ValueError, match="sigma"):
-        external_energy_map(img, -1.0, 1.0)
-    with pytest.raises(ValueError, match="lam"):
-        external_energy_map(img, 1.0, 0.0)
+        external_energy_map(img, -1.0)

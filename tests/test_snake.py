@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from snaketrack.errors import InitializationError
 from snaketrack.image import (EXTERNAL_ENERGY, GRADIENT_MAGNITUDE, Image, ScalarField,
-                              external_energy_map, integral_image)
+                              external_energy_map, gaussian_smooth, gradient_magnitude,
+                              integral_image)
 from snaketrack.snake import (
     CONVERGED,
     DISCARD,
@@ -54,13 +55,13 @@ FREE = SnakeParams(alpha=0.0, beta=0.0, max_spacing=0.0)
 
 
 def test_params_validation():
-    for bad in (dict(alpha=-0.1), dict(beta=-1.0), dict(lam=0.0),
+    for bad in (dict(alpha=-0.1), dict(beta=-1.0),
                 dict(sigma=-0.5), dict(max_iters=0),
                 dict(max_spacing=-1.0), dict(min_contour_size=2)):
         with pytest.raises(ValueError):
             SnakeParams(**bad)
     assert SnakeParams(max_spacing=0.0).max_spacing == 0.0  # 0 disables
-    for name in ("alpha", "beta", "lam", "sigma", "max_spacing"):
+    for name in ("alpha", "beta", "sigma", "max_spacing"):
         for value in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match=f"^{name} must be finite"):
                 SnakeParams(**{name: value})
@@ -331,7 +332,7 @@ def test_step_stalls_when_no_move_improves():
     state.energy_history.append(state.current_energy)
     events = step(state, zero_field(), FREE)
     assert [(e.iteration, e.kind) for e in events] == [(1, CONVERGED)]
-    assert state.converged and state.fixed_point
+    assert state.converged
     assert state.iteration == 1
     assert sorted(a.pos for a in state.agents.values()) == sorted(ring)
 
@@ -393,8 +394,33 @@ def test_run_stopped_at_max_iters_is_not_converged():
     assert not result.converged
     # the energy was still falling when the cap stopped the run
     assert result.energy_history[2] < result.energy_history[1] < result.energy_history[0]
-    # the log still closes the run with its stop event
-    assert result.events[-1].kind == CONVERGED
+    # the log says CONVERGED only for a run that converged
+    assert CONVERGED not in [e.kind for e in result.events]
+
+
+def test_fixed_point_on_the_last_allowed_sweep_converges():
+    img = Image(pixels=synth.disk_image(64, 64))
+    pts = [seed(32, 8), seed(50, 14), seed(56, 32), seed(50, 50),
+           seed(32, 56), seed(14, 50), seed(8, 32), seed(14, 14)]
+    free = run_segmentation(img, pts, SnakeParams())
+    capped = run_segmentation(img, pts, SnakeParams(max_iters=free.iterations))
+    assert capped == free
+    assert capped.converged and capped.events[-1].kind == CONVERGED
+
+
+@pytest.mark.parametrize("max_spacing", [0.0, 12.0])
+def test_step_rejects_a_field_of_the_wrong_kind(max_spacing):
+    # at max_spacing 0 no insertion trial reads the field's kind either
+    img = Image(pixels=synth.disk_image(64, 64))
+    pts = [seed(32, 8), seed(50, 14), seed(56, 32), seed(50, 50),
+           seed(32, 56), seed(14, 50), seed(8, 32), seed(14, 14)]
+    state = init_agents(pts, 4, 64, 64)
+    before = state.positions()
+    field = gradient_magnitude(gaussian_smooth(img, 1.0))
+    with pytest.raises(ValueError, match="^expected an external-energy field, "
+                                         "got 'gradient_magnitude'$"):
+        step(state, field, SnakeParams(max_spacing=max_spacing))
+    assert state.iteration == 0 and state.positions() == before
 
 
 def test_run_is_deterministic():
@@ -462,7 +488,7 @@ def test_settled_step_scans_no_agent():
     kps = detect_keypoints(ii, DetectorParams())
     describe_keypoints(ii, kps)
     params = SnakeParams()
-    field = external_energy_map(img, params.sigma, params.lam)
+    field = external_energy_map(img, params.sigma)
     state = init_agents(select_extremity_points(kps, 128, 128).points,
                         params.min_contour_size, 128, 128)
     snake._run(state, field, params)
@@ -484,14 +510,13 @@ def test_settled_step_scans_no_agent():
 
 def test_stalled_state_moves_on_a_new_field():
     state, ring = ring_state()
-    step(state, zero_field(), FREE)
-    assert len(state.stay_memo) == 8 and state.fixed_point
+    assert [e.kind for e in step(state, zero_field(), FREE)] == [CONVERGED]
+    assert len(state.stay_memo) == 8
     state.converged = False
     agent = state.agents[0]
     vals = np.zeros((40, 40))
     vals[agent.y, agent.x + 1] = -1.0  # a deeper well east of agent 0
-    step(state, ScalarField(values=vals, kind=EXTERNAL_ENERGY), FREE)
-    assert not state.fixed_point
+    assert step(state, ScalarField(values=vals, kind=EXTERNAL_ENERGY), FREE) == []
     assert 0 not in state.stay_memo
     assert agent.pos == (ring[0][0] + 1, ring[0][1])
 
@@ -545,8 +570,12 @@ def assert_supervisor_invariants(state, field, params, start):
             assert target == agent.pos
 
 
+def converged(state):
+    return bool(state.events) and state.events[-1].kind == CONVERGED
+
+
 def assert_fixed_point(state, field, params):
-    """A state whose last sweep changed nothing is a fixed point of step."""
+    """A converged state is a fixed point of step."""
     def snapshot():
         contours = {cid: list(c.agent_ids) for cid, c in state.contours.items()}
         return (state.positions(), contours, state.next_agent_id,
@@ -556,7 +585,6 @@ def assert_fixed_point(state, field, params):
     state.converged = False
     events = step(state, field, params)
     assert [e.kind for e in events] == [CONVERGED]
-    assert state.fixed_point
     assert snapshot() == before
 
 
@@ -575,7 +603,8 @@ def test_sweeps_keep_supervisor_invariants(size, field_seed, pts, params):
     while not state.converged:
         step(state, field, params)
         assert_supervisor_invariants(state, field, params, start)
-    if state.fixed_point:
+    assert converged(state) or state.iteration == params.max_iters
+    if converged(state):
         assert_fixed_point(state, field, params)
 
 
@@ -608,6 +637,7 @@ def test_resume_keeps_supervisor_invariants(size, image_seed, contours, params):
         result = resume_segmentation(img, carried, params)
     state, field = steps[-1]
     assert len(steps) == state.iteration == result.iterations
-    assert result.converged == (state.fixed_point or not state.agents)
-    if state.fixed_point:
+    assert result.converged == converged(state)
+    assert converged(state) or state.iteration == params.max_iters
+    if converged(state):
         assert_fixed_point(state, field, params)
