@@ -1,8 +1,7 @@
 """Multi-agent active contour segmentation with keypoint-based tracking."""
 
-from .errors import (ConfigError, DecodeError, ExtremitySelectionError,
-                     InitializationError, SizeError, SnaketrackError,
-                     TrackingLostError)
+from .errors import (ConfigError, DecodeError, InitializationError, SizeError,
+                     SnaketrackError, TrackingLostError)
 from .image import (Image, IntegralImage, ScalarField, external_energy_map,
                     gaussian_smooth, gradient_magnitude, integral_image)
 from .snake import (Contour, ContourResult, Event, ExplorerAgent,
@@ -15,8 +14,8 @@ from .tracking import TrackState, init_tracking, propagate_points, track_frame
 __version__ = "0.1.0"
 
 __all__ = [
-    "ConfigError", "DecodeError", "ExtremitySelectionError",
-    "InitializationError", "SizeError", "SnaketrackError", "TrackingLostError",
+    "ConfigError", "DecodeError", "InitializationError", "SizeError",
+    "SnaketrackError", "TrackingLostError",
     "Image", "IntegralImage", "ScalarField", "external_energy_map",
     "gaussian_smooth", "gradient_magnitude", "integral_image",
     "Contour", "ContourResult", "Event", "ExplorerAgent", "SegmentationResult",

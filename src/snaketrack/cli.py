@@ -8,7 +8,9 @@ Two subcommands:
   synth  render a synthetic frame sequence to numbered PGM files
 
 Exit codes: 0 success, 1 configuration or I/O problem, 2 initialization
-failure (no usable keypoints or agents), 3 tracking lost.
+failure (no usable keypoints or agents), 3 tracking lost. The subcommands
+raise their failures; `main` alone maps them to codes, through EXIT_CODES,
+and prints each as one `error:` line.
 """
 
 from __future__ import annotations
@@ -23,8 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import netpbm, synth
-from .errors import (ConfigError, DecodeError, ExtremitySelectionError,
-                     InitializationError, SizeError, SnaketrackError,
+from .errors import (ConfigError, InitializationError, SnaketrackError,
                      TrackingLostError)
 from .image import Image
 from .snake import DISCARD, SPLIT, SegmentationResult, SnakeParams
@@ -35,6 +36,10 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_INIT = 2
 EXIT_LOST = 3
+# exit code of each failure a subcommand raises, looked up along the
+# exception's class hierarchy; anything else keeps its traceback
+EXIT_CODES = {InitializationError: EXIT_INIT, TrackingLostError: EXIT_LOST,
+              SnaketrackError: EXIT_CONFIG, OSError: EXIT_CONFIG}
 
 
 @dataclass
@@ -180,73 +185,53 @@ def _metrics_row(frame_index: int, result: SegmentationResult,
 
 def run_command(args) -> int:
     try:
-        cfg = parse_config(Path(args.config).read_text())
+        text = Path(args.config).read_text()
     except OSError as exc:
-        print(f"error: cannot read config: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (ConfigError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError(f"cannot read config: {exc}") from None
+    except ValueError as exc:  # not UTF-8, or a NUL byte in the path
+        raise ConfigError(str(exc)) from None
+    cfg = parse_config(text)
 
     frames = sorted(Path(cfg.input_dir).glob(cfg.frame_glob))
     if not frames:
-        print(f"error: no frames matched {cfg.frame_glob!r} in {cfg.input_dir}",
-              file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError(f"no frames matched {cfg.frame_glob!r} in {cfg.input_dir}")
     out_dir = Path(cfg.output_dir)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
+    out_dir.mkdir(parents=True, exist_ok=True)
     if cfg.emit_overlays:
         (out_dir / "overlays").mkdir(exist_ok=True)
     if cfg.dump_keypoints:
         (out_dir / "keypoints").mkdir(exist_ok=True)
 
     state: TrackState | None = None
-    try:
-        with open(out_dir / "contours.jsonl", "w") as jf, \
-             open(out_dir / "metrics.csv", "w") as mf:
-            for key, value in cfg.items():
-                mf.write(f"# {key}={value}\n")
-            mf.write("frame,iterations,final_energy,contours,"
-                     "splits,discards,offset_x,offset_y,"
-                     "converged,low_confidence\n")
+    with open(out_dir / "contours.jsonl", "w") as jf, \
+         open(out_dir / "metrics.csv", "w") as mf:
+        for key, value in cfg.items():
+            mf.write(f"# {key}={value}\n")
+        mf.write("frame,iterations,final_energy,contours,"
+                 "splits,discards,offset_x,offset_y,"
+                 "converged,low_confidence\n")
+        mf.flush()
+        for index, path in enumerate(frames):
+            gray = netpbm.read(path)
+            img = Image(pixels=gray)
+            if state is None:
+                state, result = init_tracking(img, cfg.detector, cfg.snake)
+                offset = (0.0, 0.0)
+            else:
+                state, result = track_frame(state, img, cfg.detector, cfg.snake)
+                offset = state.global_offset
+            for rec in _result_records(index, result):
+                jf.write(json.dumps(rec) + "\n")
+            jf.flush()
+            mf.write(_metrics_row(index, result, offset) + "\n")
             mf.flush()
-            for index, path in enumerate(frames):
-                gray = netpbm.read(path)
-                img = Image(pixels=gray)
-                if state is None:
-                    state, result = init_tracking(img, cfg.detector, cfg.snake)
-                    offset = (0.0, 0.0)
-                else:
-                    state, result = track_frame(state, img, cfg.detector,
-                                                cfg.snake)
-                    offset = state.global_offset
-                for rec in _result_records(index, result):
-                    jf.write(json.dumps(rec) + "\n")
-                jf.flush()
-                mf.write(_metrics_row(index, result, offset) + "\n")
-                mf.flush()
-                if cfg.emit_overlays:
-                    rgb = render_overlay(gray, result)
-                    netpbm.write_ppm(out_dir / "overlays" / f"frame_{index:05d}.ppm",
-                                     rgb)
-                if cfg.dump_keypoints:
-                    lines = [format_keypoint(kp) for kp in state.tracked_points]
-                    (out_dir / "keypoints" / f"frame_{index:05d}.txt").write_text(
-                        "\n".join(lines) + "\n")
-    except (DecodeError, SizeError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (InitializationError, ExtremitySelectionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INIT
-    except TrackingLostError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_LOST
+            if cfg.emit_overlays:
+                rgb = render_overlay(gray, result)
+                netpbm.write_ppm(out_dir / "overlays" / f"frame_{index:05d}.ppm", rgb)
+            if cfg.dump_keypoints:
+                lines = [format_keypoint(kp) for kp in state.tracked_points]
+                (out_dir / "keypoints" / f"frame_{index:05d}.txt").write_text(
+                    "\n".join(lines) + "\n")
     return EXIT_OK
 
 
@@ -255,18 +240,16 @@ def synth_command(args) -> int:
         w_str, _, h_str = args.size.lower().partition("x")
         width, height = int(w_str), int(h_str)
     except ValueError:
-        print(f"error: --size expects WxH, got {args.size!r}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError(f"--size expects WxH, got {args.size!r}") from None
     try:
         frames = synth.sequence(args.kind, width, height, args.frames,
                                 speed=args.speed)
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        for index, frame in enumerate(frames):
-            netpbm.write_pgm(out / f"frame_{index:05d}.pgm", frame)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    for index, frame in enumerate(frames):
+        netpbm.write_pgm(out / f"frame_{index:05d}.pgm", frame)
     return EXIT_OK
 
 
@@ -295,9 +278,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except SnaketrackError as exc:  # anything a subcommand did not map
+    except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return next(EXIT_CODES[t] for t in type(exc).__mro__ if t in EXIT_CODES)
 
 
 if __name__ == "__main__":

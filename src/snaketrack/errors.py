@@ -18,11 +18,7 @@ class ConfigError(SnaketrackError):
 
 
 class InitializationError(SnaketrackError):
-    """Agents could not be placed on enough distinct pixels."""
-
-
-class ExtremitySelectionError(SnaketrackError):
-    """No keypoints were available to seed the contour agents."""
+    """No keypoints to seed agents from, or too few distinct agent pixels."""
 
 
 class TrackingLostError(SnaketrackError):

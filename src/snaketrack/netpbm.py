@@ -91,10 +91,10 @@ def _ascii_samples(tok: _Tokenizer, count: int, maxval: int) -> np.ndarray:
             values = np.add.reduceat(digits[at] * power, first)
             if values.max() <= maxval:
                 return values.astype(np.float64)
-    out = np.empty(count, dtype=np.float64)
-    for k in range(count):
-        out[k] = tok.next_int("sample", upper=maxval)
-    return out
+    # a list, not a preallocated array: a header may declare more samples
+    # than the file holds or memory fits, and the first missing one is the error
+    return np.array([tok.next_int("sample", upper=maxval) for _ in range(count)],
+                    dtype=np.float64)
 
 
 def _binary_samples(data: bytes, pos: int, count: int, maxval: int) -> np.ndarray:

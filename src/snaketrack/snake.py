@@ -379,10 +379,14 @@ def init_agents(points, min_size: int, width: int, height: int) -> SupervisorSta
 
     Keypoint positions are rounded to pixels; coincident pixels are nudged
     apart. The cycle is ordered by angle about the centroid of the final
-    positions (ties by radius, then id) and canonicalized.
+    positions (ties by radius, then id) and canonicalized. A seed that is
+    not finite is a ValueError that names its index.
     """
     if len(points) != 8:
         raise ValueError(f"expected 8 seed points, got {len(points)}")
+    for k, p in enumerate(points):
+        if not (math.isfinite(p.x) and math.isfinite(p.y)):
+            raise ValueError(f"seed {k} at ({p.x}, {p.y}) is not finite")
     raw = [(_iround(p.x), _iround(p.y)) for p in points]
     placed = _distinct_positions(raw, width, height, min_size)
     cx = sum(p[0] for p in placed) / len(placed)
@@ -717,7 +721,8 @@ def resume_segmentation(img: Image, carried, params: SnakeParams) -> Segmentatio
     contain no contours, which callers should treat as tracking lost.
 
     Raises ValueError, naming the record, when a record's agent ids and
-    points differ in number or when an agent id or contour id appears twice.
+    points differ in number, when an agent id or contour id appears twice or
+    when a point is not finite.
     """
     field = external_energy_map(img, params.sigma)
     contours: dict[int, Contour] = {}
@@ -732,9 +737,11 @@ def resume_segmentation(img: Image, carried, params: SnakeParams) -> Segmentatio
         contour = Contour(id=rec.id, agent_ids=list(rec.agent_ids))
         contour.canonicalize()
         contours[rec.id] = contour
-        for aid, (x, y) in zip(rec.agent_ids, rec.points):
+        for i, (aid, (x, y)) in enumerate(zip(rec.agent_ids, rec.points)):
             if aid in agents:
                 raise ValueError(f"{where}: agent id {aid} appears twice")
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise ValueError(f"{where}: point {i} ({x}, {y}) is not finite")
             x = min(max(int(x), 0), img.width - 1)
             y = min(max(int(y), 0), img.height - 1)
             agents[aid] = ExplorerAgent(id=aid, x=x, y=y, contour_id=rec.id)

@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ExtremitySelectionError
+from .errors import InitializationError
 from .image import IntegralImage, box_sum_slices, edge_extended
 
 BASE_SCALE = 1.2            # scale of the 9x9 base filter
@@ -176,16 +176,12 @@ def _refine(resp: np.ndarray, s, y, x) -> np.ndarray:
     dyx = 0.25 * (cube[1, 2, 2] - cube[1, 2, 0] - cube[1, 0, 2] + cube[1, 0, 0])
     hess = np.array([[dss, dsy, dsx], [dsy, dyy, dyx], [dsx, dyx, dxx]]).transpose(2, 0, 1)
     rhs = -grad.T
-    try:
-        offsets = np.linalg.solve(hess, rhs[..., None])[..., 0]
-    except np.linalg.LinAlgError:
-        # some cube is singular: solve each alone and keep those at zero
-        offsets = np.zeros((len(center), 3))
-        for k in range(len(center)):
-            try:
-                offsets[k] = np.linalg.solve(hess[k], rhs[k])
-            except np.linalg.LinAlgError:
-                continue
+    # slogdet runs the LU factorization solve runs, so its zero signs mark
+    # exactly the cubes solve would reject; they solve identity = 0 instead
+    singular = np.linalg.slogdet(hess)[0] == 0.0
+    hess[singular] = np.eye(3)
+    rhs[singular] = 0.0
+    offsets = np.linalg.solve(hess, rhs[..., None])[..., 0]
     # wild extrapolation keeps the measured location; a row holding nan
     # passes, as `max() > 1.0` is then false
     offsets[np.abs(offsets).max(axis=1) > 1.0] = 0.0
@@ -479,7 +475,7 @@ def select_extremity_points(kps: list[KeyPoint], width: int, height: int) -> Ext
     hessian_threshold to detect more points.
     """
     if not kps:
-        raise ExtremitySelectionError(
+        raise InitializationError(
             "no keypoints to seed agents from; lower hessian_threshold")
     claimed: set[int] = set()
     points: list[KeyPoint] = []

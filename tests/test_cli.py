@@ -304,6 +304,33 @@ def test_run_frame_sample_above_maxval(tmp_path, capsys):
     assert err.startswith("error: ") and "exceeds maxval" in err
 
 
+def test_run_config_not_utf8(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"\xffinput_dir = a\n")
+    assert main(["run", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == (
+        "error: 'utf-8' codec can't decode byte 0xff in position 0: "
+        "invalid start byte\n")
+
+
+def test_run_output_dir_under_a_file(tmp_path, capsys):
+    make_frames(tmp_path)
+    (tmp_path / "afile").write_text("")
+    out = tmp_path / "afile" / "out"
+    cfg = full_config(tmp_path, output_dir=out)
+    assert main(["run", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == f"error: [Errno 20] Not a directory: '{out}'\n"
+
+
+def test_run_frame_too_small(tmp_path, capsys):
+    frames_dir = tmp_path / "frames"
+    frames_dir.mkdir()
+    (frames_dir / "frame_00000.pgm").write_bytes(b"P2 2 2 255\n1 2 3 4\n")
+    cfg = full_config(tmp_path)
+    assert main(["run", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == "error: image 2x2 is smaller than 3x3\n"
+
+
 def test_run_featureless_frames_exit_init(tmp_path, capsys):
     frames_dir = tmp_path / "frames"
     frames_dir.mkdir()

@@ -34,9 +34,8 @@ def _square96():
     return Image(pixels=synth.square_image(96, 96)), DetectorParams(octaves=4)
 
 
-def _blobs192():
-    # criterion 5's blob field, unshifted, at its threshold
-    size = 192
+def _blob_field(size):
+    # criterion 5's 24 blobs, unshifted, on a size x size grid
     ys, xs = np.mgrid[0:size, 0:size].astype(np.float64)
     rng = np.random.RandomState(7)
     img = np.zeros((size, size))
@@ -45,7 +44,12 @@ def _blobs192():
         sg = rng.uniform(2, 5)
         amp = rng.uniform(0.4, 1.0)
         img += amp * np.exp(-((xs - cx) ** 2 + (ys - cy) ** 2) / (2 * sg * sg))
-    return Image(pixels=np.clip(img, 0.0, 1.0)), DetectorParams(hessian_threshold=0.002)
+    return np.clip(img, 0.0, 1.0)
+
+
+def _blobs192():
+    # criterion 5's blob field at its threshold
+    return Image(pixels=_blob_field(192)), DetectorParams(hessian_threshold=0.002)
 
 
 def _noise77x50():
@@ -113,19 +117,53 @@ TRANSPOSE_TOLERANCE = 1e-10
 # breaks exact mirror ties between their responses one way in img and the
 # other in img.T: 1 and 2 dark-sign keypoints, among them square96's
 # (15.77, 10.01), come back as their mirror images.
-@pytest.mark.parametrize("name", ["blobs192", "noise160x120", "noise77x50"])
-def test_detection_commutes_with_transpose(name):
-    img, params = SCENES[name]()
-    kps = detect_keypoints(integral_image(img), params)
-    flipped = detect_keypoints(integral_image(Image(pixels=img.pixels.T)), params)
+def assert_paired(kps, mapped):
+    """Each keypoint has its own partner in `mapped`, rows (x, y, scale, sign)."""
     # the last column is the laplacian sign, so paired keypoints share it
     a = np.array([[kp.x, kp.y, kp.scale, kp.laplacian_sign] for kp in kps])
-    b = np.array([[kp.y, kp.x, kp.scale, kp.laplacian_sign] for kp in flipped])
+    b = np.array(mapped)
     assert a.shape == b.shape
     dist = np.abs(a[:, None, :] - b[None, :, :]).max(axis=2)
     nearest = dist.argmin(axis=1)
     assert sorted(nearest) == list(range(len(b)))
     assert dist[np.arange(len(a)), nearest].max() <= TRANSPOSE_TOLERANCE
+
+
+@pytest.mark.parametrize("name", ["blobs192", "noise160x120", "noise77x50"])
+def test_detection_commutes_with_transpose(name):
+    img, params = SCENES[name]()
+    kps = detect_keypoints(integral_image(img), params)
+    flipped = detect_keypoints(integral_image(Image(pixels=img.pixels.T)), params)
+    assert_paired(kps, [[kp.y, kp.x, kp.scale, kp.laplacian_sign] for kp in flipped])
+
+
+# A flip maps column x to w - 1 - x (row y to h - 1 - y), which lands on
+# every octave's sampling grid only when each stride divides w - 1 (h - 1).
+# Each golden scene has an odd w - 1 or h - 1, so these scenes are sized
+# for the flips: strides 1, 2, 4 at default parameters and 1 to 8 at
+# octaves=4.
+FLIP_SCENES = {
+    "noise97x65": lambda: (np.random.RandomState(2013).uniform(0.0, 1.0, (65, 97)),
+                           DetectorParams()),
+    "noise161x121": lambda: (np.random.RandomState(2013).uniform(0.0, 1.0, (121, 161)),
+                             DetectorParams(octaves=4)),
+    "blobs193": lambda: (_blob_field(193), DetectorParams(hessian_threshold=0.002)),
+}
+# (flip columns, flip rows)
+FLIPS = {"fliplr": (True, False), "flipud": (False, True), "rot180": (True, True)}
+
+
+@pytest.mark.parametrize("flip", sorted(FLIPS))
+@pytest.mark.parametrize("name", sorted(FLIP_SCENES))
+def test_detection_commutes_with_flips(name, flip):
+    pixels, params = FLIP_SCENES[name]()
+    h, w = pixels.shape
+    fx, fy = FLIPS[flip]
+    kps = detect_keypoints(integral_image(Image(pixels=pixels)), params)
+    flipped = pixels[::-1 if fy else 1, ::-1 if fx else 1]
+    back = detect_keypoints(integral_image(Image(pixels=flipped)), params)
+    assert_paired(kps, [[w - 1 - kp.x if fx else kp.x, h - 1 - kp.y if fy else kp.y,
+                         kp.scale, kp.laplacian_sign] for kp in back])
 
 
 if __name__ == "__main__":

@@ -204,6 +204,10 @@ def test_path_taken(monkeypatch):
     (b"P2 2 1 255\n7 0000000000000000000000000256\n", "sample 256 out of range at byte 13"),
     (b"P2 2 1 255\n7 99999999999999999999999\n",
      "sample 99999999999999999999999 out of range at byte 13"),
+    # headers that declare more samples than an intp counts, let alone
+    # memory holds: the first missing sample is the error
+    (b"P2 4294967296 4294967296 255 1 2 3", "missing sample at byte 34"),
+    (b"P3 3000000000 3000000000 255 1 2 3", "missing sample at byte 34"),
 ])
 def test_bad_raster_messages(data, message):
     with pytest.raises(DecodeError) as exc:

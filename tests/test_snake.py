@@ -95,6 +95,16 @@ def test_init_requires_eight_seeds():
         init_agents([seed(1, 1)] * 7, 4, 40, 40)
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_init_rejects_non_finite_seed(bad):
+    pts = [seed(20, 5), seed(35, 20), seed(20, 35), seed(5, 20),
+           seed(30, 10), seed(30, 30), seed(10, 30), seed(10, 10)]
+    pts[5] = seed(30, bad)
+    with pytest.raises(ValueError) as err:
+        init_agents(pts, 4, 40, 40)
+    assert str(err.value) == f"seed 5 at (30.0, {bad}) is not finite"
+
+
 def test_init_fails_when_pixels_run_out():
     # 2x3 grid has only 6 distinct pixels
     with pytest.raises(InitializationError):
@@ -472,6 +482,15 @@ def test_resume_preserves_ids_and_clamps():
       ContourResult(id=0, agent_ids=(4, 5, 6, 7),
                     points=((16, 16), (24, 16), (24, 24), (16, 24)))],
      "carried record 1 (contour 0): contour id 0 appears twice"),
+    # points that are not finite
+    ([ContourResult(id=2, agent_ids=(0, 1, 2, 3),
+                    points=((4, 4), (math.inf, 3), (10, 10), (4, 10)))],
+     "carried record 0 (contour 2): point 1 (inf, 3) is not finite"),
+    ([ContourResult(id=0, agent_ids=(0, 1, 2, 3),
+                    points=((4, 4), (10, 4), (10, 10), (4, 10))),
+      ContourResult(id=1, agent_ids=(4, 5, 6, 7),
+                    points=((16, 16), (24, 16), (24, 24), (math.nan, 3)))],
+     "carried record 1 (contour 1): point 3 (nan, 3) is not finite"),
 ])
 def test_resume_rejects_inconsistent_records(carried, named):
     img = Image(pixels=synth.disk_image(32, 32))

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from snaketrack import surf, synth
-from snaketrack.errors import ExtremitySelectionError
+from snaketrack.errors import InitializationError
 from snaketrack.image import Image, box_sum_grid, edge_extended, integral_image
 from snaketrack.surf import (
     BASE_FILTER,
@@ -600,7 +600,7 @@ def test_extremity_reuses_when_scarce():
 
 
 def test_extremity_empty_is_error():
-    with pytest.raises(ExtremitySelectionError) as exc:
+    with pytest.raises(InitializationError) as exc:
         select_extremity_points([], 64, 64)
     assert "hessian_threshold" in str(exc.value)
 
