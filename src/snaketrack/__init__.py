@@ -13,6 +13,23 @@ from .tracking import TrackState, init_tracking, propagate_points, track_frame
 
 __version__ = "0.1.0"
 
+
+def _keep_freed_arrays() -> None:
+    """Fix glibc's dynamic malloc thresholds at their ceiling, 32 and 64 MiB.
+
+    Left dynamic, glibc keeps or returns the 20-25 MB that each stage of a
+    384x384 frame frees by heap layout alone, so one process refaults ~30 MB
+    a frame and the next none, and frame times split into two modes 25% apart.
+    """
+    import ctypes
+    import sys
+    if sys.platform == "linux" and hasattr(libc := ctypes.CDLL(None), "mallopt"):
+        libc.mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD: arrays under 32 MiB use the heap
+        libc.mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD: keep up to 64 MiB of free top
+
+
+_keep_freed_arrays()
+
 __all__ = [
     "ConfigError", "DecodeError", "InitializationError", "SizeError",
     "SnaketrackError", "TrackingLostError",
