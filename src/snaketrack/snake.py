@@ -44,9 +44,16 @@ the pixels of its cyclic neighbours at -2, -1, +1 and +2), the field, the
 frame size, alpha and beta. When an agent's scan chooses to stay, the stay
 memo keeps those ten integers for the agent, and a later visit of the agent
 with the same ten integers stays without scanning. A move rejected as a
-collision is not remembered, since its settlement energy depends on the
-whole contour. step drops the memo when it is called with another field,
-alpha, beta or frame size.
+collision is not remembered: its settlement energy depends on the other
+colliding agent's neighbourhood and on any arc the settlement drops, and the
+ten integers hold neither. step drops the memo when it is called with
+another field, alpha, beta or frame size.
+
+A settlement or an insertion changes only the terms of E at its seams and
+the terms of the agents it adds or removes, so its energy change is computed
+from those alone, in O(1) of the contour's length, and rounded once from the
+exact value: it equals the difference of the whole-contour energies in
+exact arithmetic, rounded to the nearest float.
 
 A run converges at the first sweep that changes nothing: no move or
 settlement is accepted and resampling inserts no agent. That is exact, not
@@ -410,34 +417,27 @@ def init_agents(points, min_size: int, width: int, height: int) -> SupervisorSta
 # topology changes
 
 
-def _cycle_energy(pts: list[tuple[int, int]], field: ScalarField,
-                  params: SnakeParams) -> float:
-    """Snake energy of one closed cycle through the pixels pts, in order."""
-    positions = dict(enumerate(pts))
-    c = Contour(id=-1, agent_ids=list(positions))
-    return (internal_energy(c, positions, params.alpha, params.beta)
-            + external_energy(c, positions, field))
-
-
 def _settlement(contour: Contour, i: int, j: int, min_size: int):
     """The collision-settlement rule for agents at cyclic positions i < j.
 
     Adjacent agents merge: the later id leaves and the rest of the cycle is
     the one arc. Otherwise the cycle is cut into ids[i:j] and
     ids[j:] + ids[:i], so the first colliding agent goes to the first arc.
-    Returns (merged id or None, kept arcs, dropped arcs); arcs below
-    min_size are dropped.
+    Returns (merged position or None, kept arcs, dropped arcs), each arc the
+    (start, length) of a run of cyclic positions; arcs below min_size are
+    dropped.
     """
     ids = contour.agent_ids
-    if j - i == 1 or (i == 0 and j == len(ids) - 1):
-        merged = max(ids[i], ids[j])
-        arcs = [[aid for aid in ids if aid != merged]]
+    n = len(ids)
+    if j - i == 1 or (i == 0 and j == n - 1):
+        merged = i if ids[i] > ids[j] else j
+        arcs = [((merged + 1) % n, n - 1)]
     else:
         merged = None
-        arcs = [ids[i:j], ids[j:] + ids[:i]]
+        arcs = [(i, j - i), (j, n - j + i)]
     kept, dropped = [], []
     for arc in arcs:
-        (kept if len(arc) >= min_size else dropped).append(arc)
+        (kept if arc[1] >= min_size else dropped).append(arc)
     return merged, kept, dropped
 
 
@@ -450,14 +450,17 @@ def split_contour(state: SupervisorState, contour: Contour, i: int, j: int,
     dropped arc or contour is discarded with its agents. Returns the events
     logged.
     """
-    n = len(contour.agent_ids)
+    ids = contour.agent_ids
+    n = len(ids)
     if not (0 <= i < j < n):
         raise ValueError(f"positions {i}, {j} invalid for a contour of {n} agents")
     merged, kept, dropped = _settlement(contour, i, j, params.min_contour_size)
+    kept, dropped = ([(ids[start:] + ids[:start])[:length] for start, length in arcs]
+                     for arcs in (kept, dropped))
     if merged is not None:
+        merged = ids.pop(merged)
         events = [Event(state.iteration, DISCARD, contour_ids=(contour.id,),
                         agent_ids=(merged,))]
-        contour.agent_ids.remove(merged)
         del state.agents[merged]
         contour.canonicalize()
         if dropped:
@@ -467,14 +470,14 @@ def split_contour(state: SupervisorState, contour: Contour, i: int, j: int,
         new_ids = []
         for arc in kept:
             cid = state.new_contour_id()
-            sub = Contour(id=cid, agent_ids=list(arc))
+            sub = Contour(id=cid, agent_ids=arc)
             sub.canonicalize()
             state.contours[cid] = sub
             for aid in arc:
                 state.agents[aid].contour_id = cid
             new_ids.append(cid)
         events = [Event(state.iteration, SPLIT, contour_ids=(contour.id, *new_ids),
-                        agent_ids=(contour.agent_ids[i], contour.agent_ids[j]))]
+                        agent_ids=(ids[i], ids[j]))]
         for arc in dropped:
             for aid in arc:
                 del state.agents[aid]
@@ -504,14 +507,62 @@ def _index_contour(contour: Contour, agents: Mapping[int, ExplorerAgent],
         occupant[(cid, agent.x, agent.y)] = aid
 
 
+def _energy_change(new: list[list[tuple[int, int]]], old: list[list[tuple[int, int]]],
+                   external: list[float], params: SnakeParams) -> float:
+    """Exact energy change of trading the old chains' terms for the new ones'.
+
+    The terms of a chain of pixels are the elastic and bending terms filed
+    under each of its inner points: the edge to its successor and the second
+    difference centred at it. Their sums are integers, and each float is an
+    integer over a power of two, so alpha/2 * elastic + beta/2 * bending +
+    sum(external) is one integer fraction over the largest denominator, and
+    int / int rounds it correctly.
+    """
+    elastic = bending = 0
+    for sign, chains in ((1, new), (-1, old)):
+        for chain in chains:
+            for (xp, yp), (x, y), (xn, yn) in zip(chain, chain[1:], chain[2:]):
+                elastic += sign * ((xn - x) ** 2 + (yn - y) ** 2)
+                bending += sign * ((xp - 2 * x + xn) ** 2 + (yp - 2 * y + yn) ** 2)
+    (pa, qa), (pb, qb), *rest = [v.as_integer_ratio() for v in
+                                 (params.alpha, params.beta, *external)]
+    den = max(qa, qb, *(q for _, q in rest))
+    num = (pa * (den // qa) * elastic + pb * (den // qb) * bending
+           + 2 * sum(p * (den // q) for p, q in rest))
+    return num / (2 * den)
+
+
 def _settlement_delta(state: SupervisorState, contour: Contour, i: int, j: int,
                       field: ScalarField, params: SnakeParams) -> float:
-    """Energy change the collision settlement at (i, j) would cause."""
-    def energy(ids):
-        return _cycle_energy([state.agents[aid].pos for aid in ids], field, params)
+    """Energy change the collision settlement at (i, j) would cause.
 
-    _, kept, _ = _settlement(contour, i, j, params.min_contour_size)
-    return sum(energy(arc) for arc in kept) - energy(contour.agent_ids)
+    Local: a kept arc's cycle differs from the contour only at its seam, the
+    edge from its last agent back to its first, so only those two agents'
+    terms change; the merged agent and every agent of a dropped arc or
+    contour lose their terms and field values. That is O(1) in the contour's
+    length, or under 2 * min_contour_size agents when arcs drop. The result
+    is the exact difference of the whole-contour energies, rounded once to
+    the nearest float.
+    """
+    ids = contour.agent_ids
+    n = len(ids)
+    agents = state.agents
+
+    def around(k):
+        """Pixels of the agents at cyclic positions k - 1, k and k + 1."""
+        return [(a.x, a.y) for a in (agents[ids[(k + d) % n]] for d in (-1, 0, 1))]
+
+    merged, kept, dropped = _settlement(contour, i, j, params.min_contour_size)
+    removed = [] if merged is None else [merged]
+    for start, length in dropped:
+        removed.extend(range(start, start + length))
+    new, old = [], [around(k) for k in removed]
+    external = [-field.values.item(y, x) for _, (x, y), _ in old]
+    for start, length in kept:
+        last, first = around(start + length - 1), around(start)
+        new.append(last[:2] + first[1:])
+        old += [last, first]
+    return _energy_change(new, old, external, params)
 
 
 # ---------------------------------------------------------------------------
@@ -636,16 +687,17 @@ def resample_contour(state: SupervisorState, contour: Contour,
         ids = contour.agent_ids
         pts = [state.agents[aid].pos for aid in ids]
         taken = set(pts)
-        before = None  # the pass's energy, computed at its first trial
+        n = len(pts)
         for k, ((ax, ay), (bx, by)) in enumerate(zip(pts, pts[1:] + pts[:1])):
             if math.hypot(bx - ax, by - ay) <= params.max_spacing:
                 continue
             mid = (_iround((ax + bx) / 2.0), _iround((ay + by) / 2.0))
             if mid in taken:
                 continue
-            if before is None:
-                before = _cycle_energy(pts, field, params)
-            delta = _cycle_energy(pts[:k + 1] + [mid] + pts[k + 1:], field, params) - before
+            # only the terms of the edge's ends and of mid change
+            chain = [pts[k - 1], pts[k], pts[(k + 1) % n], pts[(k + 2) % n]]
+            delta = _energy_change([chain[:2] + [mid] + chain[2:]], [chain],
+                                   [field.values.item(mid[1], mid[0])], params)
             if delta <= 0.0:
                 # the new id is the largest, so the cycle stays canonical
                 aid = state.new_agent_id()

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -317,6 +318,162 @@ def test_resample_respects_agent_cap():
     params = SnakeParams(alpha=0.0, beta=0.0, max_spacing=12.0)
     assert resample_contour(state, c, zero_field(), params) == []
     assert len(state.agents) == 4
+
+
+# ---------------------------------------------------------------------------
+# settlement and insertion deltas: exact whole-contour differences, rounded once
+
+GRID = 8
+RING8 = ((1, 1), (2, 1), (3, 1), (3, 2), (3, 3), (2, 3), (1, 3), (1, 2))
+
+
+def exact_cycle_energy(pts, vals, alpha, beta):
+    """E of the closed cycle through pts as an exact Fraction."""
+    n = len(pts)
+    elastic = bending = 0
+    for k, (x, y) in enumerate(pts):
+        (xp, yp), (xn, yn) = pts[k - 1], pts[(k + 1) % n]
+        elastic += (xn - x) ** 2 + (yn - y) ** 2
+        bending += (xp - 2 * x + xn) ** 2 + (yp - 2 * y + yn) ** 2
+    return (Fraction(alpha) / 2 * elastic + Fraction(beta) / 2 * bending
+            + sum(Fraction(vals[y, x]) for x, y in pts))
+
+
+def reference_settlement(ids, i, j, min_size):
+    """Kept arcs of the settlement at positions i < j, and the outcome's name."""
+    n = len(ids)
+    if j - i == 1 or (i, j) == (0, n - 1):
+        later = max(ids[i], ids[j])
+        arc = [aid for aid in ids if aid != later]
+        return ([arc], "merge") if len(arc) >= min_size else ([], "merge drop")
+    kept = [arc for arc in (ids[i:j], ids[j:] + ids[:i]) if len(arc) >= min_size]
+    return kept, ("split", "split drop one", "split drop both")[2 - len(kept)]
+
+
+def energy_field(seed):
+    # values of several binades, so their denominators differ
+    rng = np.random.default_rng(seed)
+    return -rng.random((GRID, GRID)) * 10.0 ** rng.integers(-3, 1, (GRID, GRID))
+
+
+def cycle_state(pixels, ids):
+    contour = Contour(id=0, agent_ids=list(ids))
+    contour.canonicalize()
+    agents = {aid: ExplorerAgent(id=aid, x=x, y=y, contour_id=0)
+              for aid, (x, y) in zip(ids, pixels)}
+    return SupervisorState(width=GRID, height=GRID, contours={0: contour}, agents=agents,
+                           initial_agent_count=len(ids))
+
+
+@st.composite
+def cycles(draw, min_size=3):
+    n = draw(st.integers(min_size, 16))
+    pixels = draw(st.lists(st.tuples(st.integers(0, GRID - 1), st.integers(0, GRID - 1)),
+                           min_size=n, max_size=n, unique=True))
+    return pixels, draw(st.permutations(range(n)))
+
+
+ENERGY_WEIGHTS = dict(alpha=st.sampled_from((0.0, 0.05, 0.2)),
+                      beta=st.sampled_from((0.0, 0.01, 0.05)))
+
+
+@st.composite
+def collisions(draw):
+    pixels, ids = draw(cycles(min_size=3))
+    i, j = sorted(draw(st.lists(st.integers(0, len(ids) - 1), min_size=2, max_size=2,
+                                unique=True)))
+    return pixels, ids, i, j, draw(st.booleans())
+
+
+def test_settlement_delta_is_the_exact_whole_contour_difference():
+    outcomes = set()
+
+    @settings(max_examples=200)
+    @given(case=collisions(), field_seed=st.integers(0, 2**32 - 1),
+           min_size=st.integers(3, 5), **ENERGY_WEIGHTS)
+    # one example of each outcome
+    @example(case=(RING8[:6], range(6), 1, 2, True), field_seed=0, min_size=3,
+             alpha=0.05, beta=0.01)
+    @example(case=(RING8[:4], range(4), 0, 3, False), field_seed=1, min_size=4,
+             alpha=0.2, beta=0.05)
+    @example(case=(RING8, range(8), 0, 4, True), field_seed=2, min_size=3,
+             alpha=0.05, beta=0.01)
+    @example(case=(RING8, range(8), 0, 2, False), field_seed=3, min_size=3,
+             alpha=0.05, beta=0.0)
+    @example(case=(RING8[:5], range(5), 0, 2, True), field_seed=4, min_size=4,
+             alpha=0.0, beta=0.05)
+    def check(case, field_seed, min_size, alpha, beta):
+        pixels, ids, i, j, move_first = case
+        state = cycle_state(pixels, ids)
+        contour = state.contours[0]
+        # the mover lands on its contour-mate's pixel, as in a sweep
+        cyc = contour.agent_ids
+        mover, mate = (cyc[i], cyc[j]) if move_first else (cyc[j], cyc[i])
+        state.agents[mover].x, state.agents[mover].y = state.agents[mate].pos
+        vals = energy_field(field_seed)
+        params = SnakeParams(alpha=alpha, beta=beta, min_contour_size=min_size)
+        pos = state.positions()
+
+        def exact(arc):
+            return exact_cycle_energy([pos[a] for a in arc], vals, alpha, beta)
+
+        kept, outcome = reference_settlement(cyc, i, j, min_size)
+        outcomes.add(outcome)
+        expect = float(sum(exact(arc) for arc in kept) - exact(cyc))
+        field = ScalarField(vals, EXTERNAL_ENERGY)
+        assert snake._settlement_delta(state, contour, i, j, field, params) == expect
+        # and the settlement itself keeps exactly those arcs
+        split_contour(state, contour, i, j, params)
+        canonical = [Contour(-1, list(arc)) for arc in kept]
+        for c in canonical:
+            c.canonicalize()
+        assert sorted(c.agent_ids for c in state.contours.values()) == sorted(
+            c.agent_ids for c in canonical)
+
+    check()
+    assert outcomes == {"merge", "merge drop", "split", "split drop one", "split drop both"}
+
+
+@settings(max_examples=200)
+@given(case=cycles(min_size=3), field_seed=st.integers(0, 2**32 - 1),
+       max_spacing=st.sampled_from((1.0, 2.0, 3.0)), **ENERGY_WEIGHTS)
+def test_resample_insertions_are_exact_whole_contour_differences(
+        case, field_seed, max_spacing, alpha, beta):
+    pixels, ids = case
+    state = cycle_state(pixels, ids)
+    contour = state.contours[0]
+    vals = energy_field(field_seed)
+    field = ScalarField(vals, EXTERNAL_ENERGY)
+    params = SnakeParams(alpha=alpha, beta=beta, max_spacing=max_spacing)
+    events = resample_contour(state, contour, field, params)
+    inserted = events[0].agent_ids if events else ()
+    pos = state.positions()
+
+    def exact(cycle):
+        return exact_cycle_energy([pos[a] for a in cycle], vals, alpha, beta)
+
+    # replay the insertions in order: each adds its exact delta, rounded once
+    energy = 0.0
+    for k, aid in enumerate(inserted):
+        after = [a for a in contour.agent_ids if a not in inserted[k + 1:]]
+        delta = float(exact(after) - exact([a for a in after if a != aid]))
+        assert delta <= 0.0
+        energy += delta
+    assert state.current_energy == energy
+    if len(state.agents) < snake.RESAMPLE_CAP_FACTOR * state.initial_agent_count:
+        # every long edge left would raise the energy or has a held midpoint
+        cyc = contour.agent_ids
+        for k, aid in enumerate(cyc):
+            (ax, ay), (bx, by) = pos[aid], pos[cyc[(k + 1) % len(cyc)]]
+            if math.hypot(bx - ax, by - ay) <= max_spacing:
+                continue
+            mid = (snake._iround((ax + bx) / 2.0), snake._iround((ay + by) / 2.0))
+            if mid in pos.values():
+                continue
+            pts = [pos[a] for a in cyc]
+            assert float(exact_cycle_energy(pts[:k + 1] + [mid] + pts[k + 1:], vals,
+                                            alpha, beta)
+                         - exact_cycle_energy(pts, vals, alpha, beta)) > 0.0
 
 
 def test_hand_built_state_never_reissues_ids():
