@@ -64,7 +64,8 @@ class Image:
 class ScalarField:
     """A per-pixel real field tagged with what it holds.
 
-    kind is GRADIENT_MAGNITUDE (values >= 0) or EXTERNAL_ENERGY (values <= 0).
+    kind is GRADIENT_MAGNITUDE (values >= 0) or EXTERNAL_ENERGY (values <= 0);
+    every value must be finite.
     """
 
     values: np.ndarray
@@ -74,14 +75,17 @@ class ScalarField:
         vals = np.asarray(self.values)
         if vals.ndim != 2:
             raise ValueError(f"expected a 2-d array, got shape {vals.shape}")
-        if self.kind == GRADIENT_MAGNITUDE:
-            if vals.size and vals.min() < 0.0:
-                raise ValueError("gradient magnitude must be non-negative")
-        elif self.kind == EXTERNAL_ENERGY:
-            if vals.size and vals.max() > 0.0:
-                raise ValueError("external energy must be non-positive")
-        else:
+        if self.kind not in (GRADIENT_MAGNITUDE, EXTERNAL_ENERGY):
             raise ValueError(f"unknown field kind {self.kind!r}")
+        if vals.size:
+            # min and max propagate NaN, so the pair checks finiteness too
+            lo, hi = vals.min(), vals.max()
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise ValueError("field contains non-finite values")
+            if self.kind == GRADIENT_MAGNITUDE and lo < 0.0:
+                raise ValueError("gradient magnitude must be non-negative")
+            if self.kind == EXTERNAL_ENERGY and hi > 0.0:
+                raise ValueError("external energy must be non-positive")
         object.__setattr__(self, "values", _frozen(vals))
 
     @property
@@ -241,15 +245,15 @@ def box_sum_slices(ext: np.ndarray, pad: int, width: int, height: int, step: int
     offsets dx0, dy0, dx1 + 1 and dy1 + 1 must lie in [-pad, pad + 1]. The
     result has shape (len(Y), len(X)) and equals box_sum_grid on the same
     boxes bitwise: same table values, same four terms in the same order,
-    and exactly 0.0 where a box is empty after clamping.
+    and exactly 0.0 where a box is empty after clamping. The empty boxes
+    are found per axis by integer arithmetic (`_nonempty_run`) and zeroed
+    as a run of rows or columns at each end.
     """
     corners = (dx0, dy0, dx1 + 1, dy1 + 1)
     if min(corners) < -pad or max(corners) > pad + 1:
         raise ValueError(f"box offsets exceed the table padding {pad}")
-    xs = np.arange(0, width, step)
-    ys = np.arange(0, height, step)
-    span_y = step * (len(ys) - 1) + 1
-    span_x = step * (len(xs) - 1) + 1
+    span_y = step * ((height - 1) // step) + 1
+    span_x = step * ((width - 1) // step) + 1
 
     def corner(v, u):
         r, c = pad + v, pad + u
@@ -257,14 +261,30 @@ def box_sum_slices(ext: np.ndarray, pad: int, width: int, height: int, step: int
 
     total = (corner(dy1 + 1, dx1 + 1) - corner(dy0, dx1 + 1)
              - corner(dy1 + 1, dx0) + corner(dy0, dx0))
-    valid_x = np.maximum(xs + dx0, 0) <= np.minimum(xs + dx1, width - 1)
-    valid_y = np.maximum(ys + dy0, 0) <= np.minimum(ys + dy1, height - 1)
     # the four terms of an empty box need not cancel exactly in floating
     # point, so empty boxes are set to 0.0 explicitly; a box is empty iff
-    # its row or its column is
-    total[~valid_y, :] = 0.0
-    total[:, ~valid_x] = 0.0
+    # its row or its column is, and along each axis the non-empty samples
+    # are one run
+    y_first, y_stop = _nonempty_run(height, step, dy0, dy1)
+    x_first, x_stop = _nonempty_run(width, step, dx0, dx1)
+    total[:y_first] = 0.0
+    total[y_stop:] = 0.0
+    total[:, :x_first] = 0.0
+    total[:, x_stop:] = 0.0
     return total
+
+
+def _nonempty_run(size: int, step: int, d0: int, d1: int) -> tuple[int, int]:
+    """Start and stop of the samples k whose span [k*step + d0, k*step + d1] meets [0, size - 1].
+
+    The span ends before pixel 0 for the first ceil(-d1 / step) samples and
+    starts past pixel size - 1 for every k > (size - 1 - d0) // step; an
+    inverted span (d0 > d1) is empty at every sample, so its run is (0, 0).
+    Both ends are clipped at 0, so they slice the sample axis as is.
+    """
+    if d0 > d1:
+        return 0, 0
+    return max(-(d1 // step), 0), max((size - 1 - d0) // step + 1, 0)
 
 
 def box_sum(ii: IntegralImage, x0: int, y0: int, x1: int, y1: int) -> float:

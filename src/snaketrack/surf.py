@@ -44,6 +44,11 @@ MATCH_BLOCK_BYTES = 1 << 18
 
 TWO_PI = 2.0 * math.pi
 
+# the 26 scale-space neighbor offsets (ds, dy, dx): same-layer ones first,
+# the four nearest leading, as they reject the most candidates
+_NEIGHBORS = sorted((o for o in itertools.product((-1, 0, 1), repeat=3) if any(o)),
+                    key=lambda o: (o[0] != 0, abs(o[1]) + abs(o[2])))
+
 
 @dataclass
 class DetectorParams:
@@ -152,6 +157,34 @@ def _octave_steps(width: int, height: int, params: DetectorParams) -> list[tuple
     return runs
 
 
+def _strict_maxima(resp: np.ndarray, threshold: float):
+    """(s, y, x) of the middle-layer samples above `threshold` and above all 26 neighbors.
+
+    `resp` is one octave's (4, ny, nx) response stack; layers 1 and 2, away
+    from the grid's border, are tested. The samples above the threshold are
+    taken once; then each neighbor offset in turn, as a constant step in
+    flat indices of `resp`, keeps the survivors strictly greater than that
+    neighbor. The comparisons are those of the dense 26-neighbor test, and
+    the indices come out in C order, so the result equals it exactly; only
+    the order in which the neighbors are tried differs, which an AND of
+    the comparisons cannot see.
+    """
+    _, ny, nx = resp.shape
+    values = resp.ravel()
+    s, y, x = np.nonzero(resp[1:3, 1:-1, 1:-1] > threshold)
+    flat = ((s + 1) * ny + y + 1) * nx + x + 1
+    center = values[flat]
+    for ds, dy, dx in _NEIGHBORS:
+        if not flat.size:
+            break
+        keep = center > values[flat + ((ds * ny + dy) * nx + dx)]
+        flat = flat[keep]
+        center = center[keep]
+    s, yx = np.divmod(flat, ny * nx)
+    y, x = np.divmod(yx, nx)
+    return s, y, x
+
+
 def _refine(resp: np.ndarray, s, y, x) -> np.ndarray:
     """Quadratic sub-sample offsets (ds, dy, dx) of the maxima at (s, y, x).
 
@@ -192,9 +225,12 @@ def detect_keypoints(ii: IntegralImage, params: DetectorParams) -> list[KeyPoint
     """Scale-space maxima of the box-filter Hessian determinant.
 
     Candidates are strict maxima over their 26 scale-space neighbors within
-    an octave and must exceed params.hessian_threshold. Octaves whose
-    smallest filter does not fit in the image are dropped. Results are
-    sorted by descending response, ties by (y, x) ascending.
+    an octave and must exceed params.hessian_threshold. Each octave's
+    layers are dense box-filter grids; the maximum test then works only on
+    the samples above the threshold (`_strict_maxima`), and an octave left
+    with none skips refinement. Octaves whose smallest filter does not fit
+    in the image are dropped. Results are sorted by descending response,
+    ties by (y, x) ascending.
     """
     w, h = ii.width, ii.height
     runs = _octave_steps(w, h, params)
@@ -214,16 +250,9 @@ def detect_keypoints(ii: IntegralImage, params: DetectorParams) -> list[KeyPoint
         layers = reused + [_hessian_layer(ext, pad, w, h, size, step)
                            for size in sizes[len(reused):]]
         resp, trace = (np.stack(part) for part in zip(*layers))
-        ny, nx = resp.shape[1:]
-        # both middle layers at once, each against its 26 neighbors
-        center = resp[1:3, 1:-1, 1:-1]
-        mask = center > params.hessian_threshold
-        for ds, dy, dx in itertools.product((-1, 0, 1), repeat=3):
-            if not mask.any():
-                break
-            if ds or dy or dx:
-                mask &= center > resp[1 + ds:3 + ds, 1 + dy:ny - 1 + dy, 1 + dx:nx - 1 + dx]
-        s, y, x = (axis + 1 for axis in np.nonzero(mask))
+        s, y, x = _strict_maxima(resp, params.hessian_threshold)
+        if not s.size:
+            continue
         offsets = _refine(resp, s, y, x)
         columns.append((
             (x + offsets[:, 2]) * step,
@@ -232,6 +261,8 @@ def detect_keypoints(ii: IntegralImage, params: DetectorParams) -> list[KeyPoint
             resp[s, y, x],
             np.where(trace[s, y, x] >= 0.0, 1, -1),
         ))
+    if not columns:
+        return []
     x, y, scale, response, sign = (np.concatenate(c) for c in zip(*columns))
     order = np.lexsort((x, y, -response))
     return [KeyPoint(*fields) for fields in zip(

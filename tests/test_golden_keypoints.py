@@ -70,8 +70,28 @@ def _noise160x120():
     return Image(pixels=pixels), DetectorParams(octaves=4)
 
 
+def _blobs384():
+    # the keypoints workload's scale: full-size grids in all three default
+    # octaves, where the strict-maximum test keeps the most candidates.
+    # One bright or dark blob per cell of a 12 x 12 grid, jittered inside it,
+    # on 0.5 grey
+    size, grid = 384, 12
+    rng = np.random.RandomState(384)
+    cell = size / grid
+    centres = (np.arange(grid) + 0.5) * cell
+    cx, cy = (a.ravel() + rng.uniform(-0.35, 0.35, grid * grid) * cell
+              for a in np.meshgrid(centres, centres))
+    sigma = rng.uniform(2.5, 6.0, grid * grid)
+    amp = rng.choice([-1.0, 1.0], grid * grid) * rng.uniform(0.25, 0.45, grid * grid)
+    ys, xs = np.mgrid[0:size, 0:size].astype(np.float64)
+    img = np.full((size, size), 0.5)
+    for x, y, sg, a in zip(cx, cy, sigma, amp):
+        img += a * np.exp(-((xs - x) ** 2 + (ys - y) ** 2) / (2.0 * sg * sg))
+    return Image(pixels=np.clip(img, 0.0, 1.0)), DetectorParams()
+
+
 SCENES = {"square96": _square96, "blobs192": _blobs192, "noise77x50": _noise77x50,
-          "disk128": _disk128, "noise160x120": _noise160x120}
+          "disk128": _disk128, "noise160x120": _noise160x120, "blobs384": _blobs384}
 
 
 def dump(name):

@@ -11,6 +11,7 @@ from snaketrack.image import (
     EXTERNAL_ENERGY,
     GRADIENT_MAGNITUDE,
     Image,
+    IntegralImage,
     ScalarField,
     box_sum,
     box_sum_grid,
@@ -56,6 +57,14 @@ def test_scalar_field_sign_validation():
         ScalarField(values=np.full((3, 3), 0.5), kind=EXTERNAL_ENERGY)
     with pytest.raises(ValueError):
         ScalarField(values=np.full((3, 3), -0.5), kind=GRADIENT_MAGNITUDE)
+    # NaN fails both sign comparisons and -inf passes the energy's, so
+    # finiteness is checked on its own
+    for kind in (EXTERNAL_ENERGY, GRADIENT_MAGNITUDE):
+        for bad in (np.nan, np.inf, -np.inf):
+            vals = np.zeros((3, 3))
+            vals[1, 2] = bad
+            with pytest.raises(ValueError, match="non-finite"):
+                ScalarField(values=vals, kind=kind)
 
 
 def test_integral_image_corner_is_total():
@@ -127,22 +136,43 @@ def test_box_sum_equals_grid_case_bitwise():
 
 
 def test_box_sum_slices_equals_grid_bitwise():
-    # the dense path reads an edge-extended table by shifted slices; pin it
-    # to the gather path exactly, including boxes clamped to nothing
+    # the dense path reads an edge-extended table by shifted slices and
+    # zeroes empty boxes as runs; pin it to the gather path exactly, as bit
+    # patterns so a -0.0 would show, including inverted boxes, boxes clamped
+    # to nothing and frames narrower than the step
     rng = np.random.RandomState(11)
     pad = 12
-    for w, h in ((13, 7), (6, 19), (25, 25)):
-        ii = integral_image(Image(pixels=rng.random_sample((h, w))))
+    shapes = ((13, 7), (6, 19), (25, 25), (3, 11), (17, 4))
+    # a summed-area table reads exact zeros left of and above the frame, so
+    # the arbitrary tables (nonzero leading row and column, magnitudes far
+    # enough apart that the four terms rarely cancel) are what show the
+    # zeroing of boxes that end before the first pixel
+    tables = [integral_image(Image(pixels=rng.random_sample((h, w)))) for w, h in shapes]
+    tables += [IntegralImage(np.exp(rng.uniform(-8.0, 8.0, (h + 1, w + 1)))) for w, h in shapes]
+    for ii in tables:
+        w, h = ii.width, ii.height
         ext = edge_extended(ii, pad)
         assert ext.shape == (h + 1 + 2 * pad, w + 1 + 2 * pad)
-        for step in (1, 2, 4):
+        for step in (1, 2, 3, 4, 5, 8):
             X, Y = np.meshgrid(np.arange(0, w, step), np.arange(0, h, step))
-            for _ in range(60):
-                dx0, dx1 = sorted(int(v) for v in rng.randint(-pad, pad + 1, 2))
-                dy0, dy1 = sorted(int(v) for v in rng.randint(-pad, pad + 1, 2))
+            for trial in range(90):
+                dx0, dx1 = (int(v) for v in rng.randint(-pad, pad + 1, 2))
+                dy0, dy1 = (int(v) for v in rng.randint(-pad, pad + 1, 2))
+                if trial % 3:
+                    # two in three boxes are sorted; the rest may be inverted
+                    dx0, dx1 = sorted((dx0, dx1))
+                    dy0, dy1 = sorted((dy0, dy1))
                 got = box_sum_slices(ext, pad, w, h, step, dx0, dy0, dx1, dy1)
                 want = box_sum_grid(ii.padded, w, h, X + dx0, Y + dy0, X + dx1, Y + dy1)
-                assert np.array_equal(got, want)
+                assert np.array_equal(got.view(np.int64), want.view(np.int64))
+            # boxes wholly left of, right of, above and below the frame at
+            # every sample, and ones wholly outside at only some
+            for dx0, dy0, dx1, dy1 in ((-pad, 0, -pad + 1, 1), (pad - 1, 0, pad - 1, 0),
+                                       (0, -pad, 0, -pad), (0, pad - 2, 1, pad - 1),
+                                       (-pad, -pad, -pad, -pad), (pad - 1, pad, pad, pad)):
+                got = box_sum_slices(ext, pad, w, h, step, dx0, dy0, dx1, dy1)
+                want = box_sum_grid(ii.padded, w, h, X + dx0, Y + dy0, X + dx1, Y + dy1)
+                assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_box_sum_slices_outside_boxes_are_exact_zero():

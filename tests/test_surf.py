@@ -1,4 +1,5 @@
 import inspect
+import itertools
 import math
 
 import numpy as np
@@ -174,6 +175,54 @@ def test_reused_layer_equals_recomputed(shape):
                 coarse = surf._hessian_layer(ext, pad, ii.width, ii.height, upper_size, 2 * step)
                 for reused, recomputed in zip(fine, coarse):
                     assert np.array_equal(reused[::2, ::2], recomputed)
+
+
+def dense_strict_maxima(resp, threshold):
+    """The dense 26-neighbor test over both middle layers, as one mask."""
+    ny, nx = resp.shape[1:]
+    center = resp[1:3, 1:-1, 1:-1]
+    mask = center > threshold
+    for ds, dy, dx in itertools.product((-1, 0, 1), repeat=3):
+        if ds or dy or dx:
+            mask &= center > resp[1 + ds:3 + ds, 1 + dy:ny - 1 + dy, 1 + dx:nx - 1 + dx]
+    return tuple(axis + 1 for axis in np.nonzero(mask))
+
+
+# few distinct values, so ties, plateaus and samples equal to the threshold
+# are common; NaN compares false both ways
+MAXIMA_PALETTE = (-1.0, 0.0, -0.0, 0.5, 1.0, 2.0, math.nan)
+
+
+@st.composite
+def response_stacks(draw):
+    ny, nx = draw(st.integers(3, 12)), draw(st.integers(3, 12))
+    resp = np.full((4, ny, nx), draw(st.sampled_from(MAXIMA_PALETTE)))
+    cells = st.tuples(st.integers(0, 3), st.integers(0, ny - 1), st.integers(0, nx - 1),
+                      st.sampled_from(MAXIMA_PALETTE))
+    for s, y, x, value in draw(st.lists(cells, max_size=4 * ny * nx)):
+        resp[s, y, x] = value
+    return resp
+
+
+def peaks(*cells):
+    resp = np.zeros((4, 5, 6))
+    for s, y, x, value in cells:
+        resp[s, y, x] = value
+    return resp
+
+
+@settings(max_examples=300)
+@given(response_stacks(), st.sampled_from([-1.0, 0.0, 0.5, 1.0]))
+@example(peaks((1, 2, 2, 1.0), (2, 2, 4, 0.5)), 0.5)      # a peak equal to the threshold
+@example(peaks((1, 2, 2, 1.0), (1, 2, 3, 1.0), (2, 3, 4, 2.0)), 0.5)  # a plateau
+# maxima in both layers, so their order across layers shows
+@example(peaks((1, 1, 1, 1.0), (2, 3, 4, 2.0), (1, 3, 2, 1.0), (2, 1, 3, 1.0)), 0.5)
+def test_strict_maxima_equals_dense_test(resp, threshold):
+    got = surf._strict_maxima(resp, threshold)
+    want = dense_strict_maxima(resp, threshold)
+    assert len(got) == 3
+    for got_axis, want_axis in zip(got, want):
+        assert np.array_equal(got_axis, want_axis)
 
 
 def test_octaves_that_do_not_fit_leave_table_and_keypoints_alone(monkeypatch):
