@@ -27,7 +27,8 @@ MIN_DIMENSION = 3
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
-    out = np.ascontiguousarray(array, dtype=np.float64)
+    """A read-only float64 copy, so writes to the caller's array do not reach it."""
+    out = np.array(array, dtype=np.float64, order="C")
     out.setflags(write=False)
     return out
 
@@ -64,8 +65,9 @@ class Image:
 class ScalarField:
     """A per-pixel real field tagged with what it holds.
 
-    kind is GRADIENT_MAGNITUDE (values >= 0) or EXTERNAL_ENERGY (values <= 0);
-    every value must be finite.
+    kind is GRADIENT_MAGNITUDE (values >= 0) or EXTERNAL_ENERGY (values in
+    [-1, 0], which the contour's energy grid relies on); every value must be
+    finite.
     """
 
     values: np.ndarray
@@ -86,6 +88,8 @@ class ScalarField:
                 raise ValueError("gradient magnitude must be non-negative")
             if self.kind == EXTERNAL_ENERGY and hi > 0.0:
                 raise ValueError("external energy must be non-positive")
+            if self.kind == EXTERNAL_ENERGY and lo < -1.0:
+                raise ValueError("external energy must be >= -1")
         object.__setattr__(self, "values", _frozen(vals))
 
     @property

@@ -9,16 +9,18 @@ increase the total snake energy
     E = sum_i alpha/2 |v_{i+1} - v_i|^2 + beta/2 |v_{i+1} - 2 v_i + v_{i-1}|^2
         + sum_i e(v_i)
 
-where e is the external energy field and indices are cyclic.
+where e is the external energy field and indices are cyclic. Energies are
+exact: alpha/2, beta/2 and the field are rounded half to even onto a grid of
+step 2^-32 (so a half-weight of at most 2^-33 acts as 0), every energy is an
+integer number of steps, and the floats reported (current_energy, the history
+and the public energy functions) are those integers divided once.
 
 The supervisor owns collision handling: when two agents of one contour land
 on the same pixel, adjacent agents merge (the later id is discarded) and
 non-adjacent agents split the cycle into two arcs. Settlement happens as
 part of accepting the move that created the coincidence, and the combined
 move-plus-settlement energy change is what the acceptance rule gates. That
-keeps the recorded energy history non-increasing by construction; the
-history is accumulated incrementally from the accepted deltas, so the
-monotonicity is exact in floating point as well.
+keeps the recorded energy history non-increasing by construction.
 
 Between moves no two agents of one contour share a pixel: init_agents places
 distinct pixels, a move onto a contour-mate is settled with it, a merge or
@@ -51,9 +53,7 @@ another field, alpha, beta or frame size.
 
 A settlement or an insertion changes only the terms of E at its seams and
 the terms of the agents it adds or removes, so its energy change is computed
-from those alone, in O(1) of the contour's length, and rounded once from the
-exact value: it equals the difference of the whole-contour energies in
-exact arithmetic, rounded to the nearest float.
+from those alone, in O(1) of the contour's length.
 
 A run converges at the first sweep that changes nothing: no move or
 settlement is accepted and resampling inserts no agent. That is exact, not
@@ -89,6 +89,7 @@ CONVERGED = "converged"
 
 LOW_CONFIDENCE_FACTOR = 0.1
 RESAMPLE_CAP_FACTOR = 4
+ENERGY_SCALE = 1 << 32  # energies are integers in steps of 1 / ENERGY_SCALE
 
 
 def _iround(v: float) -> int:
@@ -172,10 +173,12 @@ class SupervisorState:
     next_agent_id: int = 0
     next_contour_id: int = 0
     initial_agent_count: int = 0
-    # the stay memo and its basis outlive one step (see the module docstring)
+    # what a basis (field, alpha, beta, frame size) fixes outlives one step
+    basis: tuple = dc_field(default=(), init=False, repr=False, compare=False)
     stay_memo: dict[int, tuple[int, ...]] = dc_field(
         default_factory=dict, init=False, repr=False, compare=False)
-    stay_basis: tuple = dc_field(default=(), init=False, repr=False, compare=False)
+    grid: tuple = dc_field(default=(), init=False, repr=False, compare=False)
+    exact_energy: int = dc_field(default=0, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.next_agent_id = max(self.next_agent_id, max(self.agents, default=-1) + 1)
@@ -225,40 +228,69 @@ class SegmentationResult:
 # energies
 
 
+def _quantize(field: ScalarField) -> np.ndarray:
+    """The field on the energy grid as int64; ScalarField keeps it in [-1, 0]."""
+    if field.kind != EXTERNAL_ENERGY:
+        raise ValueError(f"expected an external-energy field, got {field.kind!r}")
+    return np.rint(field.values * ENERGY_SCALE).astype(np.int64)
+
+
+def _weights(alpha: float, beta: float) -> tuple[int, int]:
+    """alpha/2 and beta/2 on the energy grid."""
+    return round(alpha * ENERGY_SCALE / 2), round(beta * ENERGY_SCALE / 2)
+
+
+def _energy(chains: list, pixels: list, grid: tuple) -> int:
+    """The terms filed under the chains' inner points plus the field at pixels.
+
+    An inner point files the edge to its successor and the second difference at it.
+    """
+    values, a, b = grid
+    elastic = bending = 0
+    for chain in chains:
+        for (xp, yp), (x, y), (xn, yn) in zip(chain, chain[1:], chain[2:]):
+            elastic += (xn - x) ** 2 + (yn - y) ** 2
+            bending += (xp - 2 * x + xn) ** 2 + (yp - 2 * y + yn) ** 2
+    return a * elastic + b * bending + sum(values.item(y, x) for x, y in pixels)
+
+
+def _cycles(contours, positions: Mapping[int, tuple[int, int]]):
+    """The contours' cycles c as closed chains c[-1:] + c + c[:1], and their pixels."""
+    cycles = [[positions[aid] for aid in contour.agent_ids] for contour in contours]
+    return [c[-1:] + c + c[:1] for c in cycles], [xy for c in cycles for xy in c]
+
+
 def internal_energy(contour: Contour, positions: Mapping[int, tuple[int, int]],
                     alpha: float, beta: float) -> float:
     """Elastic plus bending energy of one closed contour."""
-    pts = np.array([positions[a] for a in contour.agent_ids], dtype=np.float64)
-    ahead = np.roll(pts, -1, axis=0)
-    behind = np.roll(pts, 1, axis=0)
-    d1 = ahead - pts
-    d2 = ahead - 2.0 * pts + behind
-    return float(0.5 * alpha * (d1 * d1).sum() + 0.5 * beta * (d2 * d2).sum())
-
-
-def _check_energy_field(field: ScalarField) -> None:
-    if field.kind != EXTERNAL_ENERGY:
-        raise ValueError(f"expected an external-energy field, got {field.kind!r}")
+    chains, _ = _cycles([contour], positions)
+    return _energy(chains, [], (None, *_weights(alpha, beta))) / ENERGY_SCALE
 
 
 def external_energy(contour: Contour, positions: Mapping[int, tuple[int, int]],
                     field: ScalarField) -> float:
     """Sum of the energy field over the contour's agent pixels."""
-    _check_energy_field(field)
-    vals = field.values
-    return float(sum(vals[positions[a][1], positions[a][0]]
-                     for a in contour.agent_ids))
+    _, pixels = _cycles([contour], positions)
+    return _energy([], pixels, (_quantize(field), 0, 0)) / ENERGY_SCALE
 
 
 def total_energy(state: SupervisorState, positions: Mapping[int, tuple[int, int]],
                  field: ScalarField, params: SnakeParams) -> float:
     """Snake energy summed over every contour."""
-    total = 0.0
-    for cid in sorted(state.contours):
-        c = state.contours[cid]
-        total += internal_energy(c, positions, params.alpha, params.beta)
-        total += external_energy(c, positions, field)
-    return total
+    grid = (_quantize(field), *_weights(params.alpha, params.beta))
+    return _energy(*_cycles(state.contours.values(), positions), grid) / ENERGY_SCALE
+
+
+def _grid(state: SupervisorState, field: ScalarField, params: SnakeParams) -> tuple:
+    """The state's grid, with the exact energy on it, made once per basis."""
+    basis = (field, params.alpha, params.beta, state.width, state.height)
+    if basis != state.basis:
+        state.basis = basis
+        state.stay_memo = {}
+        state.grid = (_quantize(field), *_weights(params.alpha, params.beta))
+        cycles = _cycles(state.contours.values(), state.positions())
+        state.exact_energy = _energy(*cycles, state.grid)
+    return state.grid
 
 
 def _visit_key(state: SupervisorState, agent: ExplorerAgent, k: int):
@@ -298,33 +330,30 @@ def _axis_sums(v: int, m2: int, m1: int, p1: int, p2: int):
 
 
 def _best_move(key: tuple[int, ...], values: np.ndarray, width: int, height: int,
-               alpha: float, beta: float) -> tuple[tuple[int, int], float]:
-    """The greedy scan: its chosen pixel and the local energy change to it.
+               a: int, b: int) -> tuple[tuple[int, int], int]:
+    """The greedy scan: its chosen pixel and the exact local energy change to it.
 
-    key is _visit_key's ten integers. A candidate's local energy holds every
-    term of E that contains the agent's position:
+    key is _visit_key's ten integers; values, a and b are the quantized field
+    and weights. A candidate's local energy holds every term of E that
+    contains the agent's position:
 
-        alpha/2 * elastic + beta/2 * bending + e(x, y)
+        a * elastic + b * bending + values[y, x]
 
-    Both sums are integers, so they are exact however they are grouped and
-    split into an x and a y part; only the three products and two additions
-    round. Staying put is the first candidate and always in bounds, so its
-    energy is the baseline of the change.
+    Staying put is the first candidate and always in bounds, so its energy
+    is the baseline of the change.
     """
     x, y, xm2, ym2, xm1, ym1, xp1, yp1, xp2, yp2 = key
     ex, bx = _axis_sums(x, xm2, xm1, xp1, xp2)
     ey, by = _axis_sums(y, ym2, ym1, yp1, yp2)
-    ha = 0.5 * alpha
-    hb = 0.5 * beta
     at = values.item
     best = (x, y)
-    stay_e = best_e = ha * (ex[1] + ey[1]) + hb * (bx[1] + by[1]) + at(y, x)
+    stay_e = best_e = a * (ex[1] + ey[1]) + b * (bx[1] + by[1]) + at(y, x)
     for dx, dy in NEIGHBOR_SCAN[1:]:
         cx = x + dx
         cy = y + dy
         if not (0 <= cx < width and 0 <= cy < height):
             continue
-        e = (ha * (ex[dx + 1] + ey[dy + 1]) + hb * (bx[dx + 1] + by[dy + 1])
+        e = (a * (ex[dx + 1] + ey[dy + 1]) + b * (bx[dx + 1] + by[dy + 1])
              + at(cy, cx))
         if e < best_e:
             best_e = e
@@ -340,8 +369,8 @@ def propose_move(agent: ExplorerAgent, state: SupervisorState,
     candidate in the scan order, so staying put wins any tie.
     """
     k = state.contours[agent.contour_id].agent_ids.index(agent.id)
-    return _best_move(_visit_key(state, agent, k), field.values, state.width,
-                      state.height, params.alpha, params.beta)[0]
+    return _best_move(_visit_key(state, agent, k), _quantize(field), state.width,
+                      state.height, *_weights(params.alpha, params.beta))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -507,42 +536,15 @@ def _index_contour(contour: Contour, agents: Mapping[int, ExplorerAgent],
         occupant[(cid, agent.x, agent.y)] = aid
 
 
-def _energy_change(new: list[list[tuple[int, int]]], old: list[list[tuple[int, int]]],
-                   external: list[float], params: SnakeParams) -> float:
-    """Exact energy change of trading the old chains' terms for the new ones'.
-
-    The terms of a chain of pixels are the elastic and bending terms filed
-    under each of its inner points: the edge to its successor and the second
-    difference centred at it. Their sums are integers, and each float is an
-    integer over a power of two, so alpha/2 * elastic + beta/2 * bending +
-    sum(external) is one integer fraction over the largest denominator, and
-    int / int rounds it correctly.
-    """
-    elastic = bending = 0
-    for sign, chains in ((1, new), (-1, old)):
-        for chain in chains:
-            for (xp, yp), (x, y), (xn, yn) in zip(chain, chain[1:], chain[2:]):
-                elastic += sign * ((xn - x) ** 2 + (yn - y) ** 2)
-                bending += sign * ((xp - 2 * x + xn) ** 2 + (yp - 2 * y + yn) ** 2)
-    (pa, qa), (pb, qb), *rest = [v.as_integer_ratio() for v in
-                                 (params.alpha, params.beta, *external)]
-    den = max(qa, qb, *(q for _, q in rest))
-    num = (pa * (den // qa) * elastic + pb * (den // qb) * bending
-           + 2 * sum(p * (den // q) for p, q in rest))
-    return num / (2 * den)
-
-
 def _settlement_delta(state: SupervisorState, contour: Contour, i: int, j: int,
-                      field: ScalarField, params: SnakeParams) -> float:
-    """Energy change the collision settlement at (i, j) would cause.
+                      grid: tuple, params: SnakeParams) -> int:
+    """Exact energy change the collision settlement at (i, j) would cause.
 
     Local: a kept arc's cycle differs from the contour only at its seam, the
     edge from its last agent back to its first, so only those two agents'
     terms change; the merged agent and every agent of a dropped arc or
     contour lose their terms and field values. That is O(1) in the contour's
-    length, or under 2 * min_contour_size agents when arcs drop. The result
-    is the exact difference of the whole-contour energies, rounded once to
-    the nearest float.
+    length, or under 2 * min_contour_size agents when arcs drop.
     """
     ids = contour.agent_ids
     n = len(ids)
@@ -557,12 +559,12 @@ def _settlement_delta(state: SupervisorState, contour: Contour, i: int, j: int,
     for start, length in dropped:
         removed.extend(range(start, start + length))
     new, old = [], [around(k) for k in removed]
-    external = [-field.values.item(y, x) for _, (x, y), _ in old]
+    lost = [mid for _, mid, _ in old]
     for start, length in kept:
         last, first = around(start + length - 1), around(start)
         new.append(last[:2] + first[1:])
         old += [last, first]
-    return _energy_change(new, old, external, params)
+    return _energy(new, [], grid) - _energy(old, lost, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -577,21 +579,17 @@ def step(state: SupervisorState, field: ScalarField, params: SnakeParams) -> lis
     no agent is left. The converged flag, which ends the run, is set then
     and at max_iters. Raises ValueError unless field is external energy.
     """
-    _check_energy_field(field)
+    grid = _grid(state, field, params)
     if state.converged:
         return []
     first_event = len(state.events)
-    basis = (field, params.alpha, params.beta, state.width, state.height)
-    if basis != state.stay_basis:
-        state.stay_basis = basis
-        state.stay_memo = {}
     agents, contours, stay_memo = state.agents, state.contours, state.stay_memo
     cycle_pos: dict[int, int] = {}
     occupant: dict[tuple[int, int, int], int] = {}
     for contour in contours.values():
         _index_contour(contour, agents, cycle_pos, occupant)
-    values, width, height = field.values, state.width, state.height
-    alpha, beta = params.alpha, params.beta
+    values, a, b = grid
+    width, height = state.width, state.height
     changed = False
     for aid in sorted(agents):
         agent = agents.get(aid)
@@ -600,7 +598,7 @@ def step(state: SupervisorState, field: ScalarField, params: SnakeParams) -> lis
         key = _visit_key(state, agent, cycle_pos[aid])
         if stay_memo.get(aid) == key:
             continue
-        target, delta = _best_move(key, values, width, height, alpha, beta)
+        target, delta = _best_move(key, values, width, height, a, b)
         old = (agent.x, agent.y)
         if target == old:
             stay_memo[aid] = key
@@ -611,7 +609,7 @@ def step(state: SupervisorState, field: ScalarField, params: SnakeParams) -> lis
             del occupant[(cid, *old)]
             occupant[(cid, *target)] = aid
             agent.x, agent.y = target
-            state.current_energy += delta
+            state.exact_energy += delta
             changed = True
             continue
         # the move lands on a contour-mate: accept only if the move plus its
@@ -619,14 +617,14 @@ def step(state: SupervisorState, field: ScalarField, params: SnakeParams) -> lis
         contour = contours[cid]
         agent.x, agent.y = target
         i, j = sorted((cycle_pos[aid], cycle_pos[other]))
-        settle = _settlement_delta(state, contour, i, j, field, params)
-        if delta + settle <= 0.0:
+        settle = _settlement_delta(state, contour, i, j, grid, params)
+        if delta + settle <= 0:
             del occupant[(cid, *old)]
             # re-enter what the settlement left: the merged contour or new arcs
             for kept in split_contour(state, contour, i, j, params)[0].contour_ids:
                 if kept in contours:
                     _index_contour(contours[kept], agents, cycle_pos, occupant)
-            state.current_energy += delta + settle
+            state.exact_energy += delta + settle
             changed = True
         else:
             agent.x, agent.y = old
@@ -634,6 +632,7 @@ def step(state: SupervisorState, field: ScalarField, params: SnakeParams) -> lis
         if resample_contour(state, contours[cid], field, params):
             changed = True
     state.iteration += 1
+    state.current_energy = state.exact_energy / ENERGY_SCALE
     state.energy_history.append(state.current_energy)
     done = not changed or not state.agents
     if done:
@@ -681,6 +680,7 @@ def resample_contour(state: SupervisorState, contour: Contour,
     """
     if params.max_spacing <= 0.0:
         return []
+    grid = _grid(state, field, params)
     cap = RESAMPLE_CAP_FACTOR * state.initial_agent_count
     inserted: list[int] = []
     while len(state.agents) < cap:
@@ -696,15 +696,15 @@ def resample_contour(state: SupervisorState, contour: Contour,
                 continue
             # only the terms of the edge's ends and of mid change
             chain = [pts[k - 1], pts[k], pts[(k + 1) % n], pts[(k + 2) % n]]
-            delta = _energy_change([chain[:2] + [mid] + chain[2:]], [chain],
-                                   [field.values.item(mid[1], mid[0])], params)
-            if delta <= 0.0:
+            longer = chain[:2] + [mid] + chain[2:]
+            delta = _energy([longer], [mid], grid) - _energy([chain], [], grid)
+            if delta <= 0:
                 # the new id is the largest, so the cycle stays canonical
                 aid = state.new_agent_id()
                 state.agents[aid] = ExplorerAgent(id=aid, x=mid[0], y=mid[1],
                                                   contour_id=contour.id)
                 ids.insert(k + 1, aid)
-                state.current_energy += delta
+                state.exact_energy += delta
                 inserted.append(aid)
                 break
         else:
@@ -721,17 +721,16 @@ def resample_contour(state: SupervisorState, contour: Contour,
 # full runs
 
 
-def _build_result(state: SupervisorState, field: ScalarField) -> SegmentationResult:
+def _build_result(state: SupervisorState) -> SegmentationResult:
     contours = []
     for cid in sorted(state.contours):
         c = state.contours[cid]
         pts = tuple((state.agents[a].x, state.agents[a].y) for a in c.agent_ids)
         contours.append(ContourResult(id=cid, agent_ids=tuple(c.agent_ids),
                                       points=pts))
-    vals = field.values
-    final_external = sum(float(vals[y, x]) for c in contours for x, y in c.points)
+    final_external = _energy([], [p for c in contours for p in c.points], state.grid)
     n = sum(len(c.points) for c in contours)
-    low = n == 0 or final_external > -LOW_CONFIDENCE_FACTOR * n
+    low = n == 0 or final_external / ENERGY_SCALE > -LOW_CONFIDENCE_FACTOR * n
     return SegmentationResult(
         contours=tuple(contours),
         events=tuple(state.events),
@@ -744,11 +743,12 @@ def _build_result(state: SupervisorState, field: ScalarField) -> SegmentationRes
 
 def _run(state: SupervisorState, field: ScalarField,
          params: SnakeParams) -> SegmentationResult:
-    state.current_energy = total_energy(state, state.positions(), field, params)
+    _grid(state, field, params)
+    state.current_energy = state.exact_energy / ENERGY_SCALE
     state.energy_history.append(state.current_energy)
     while not state.converged:
         step(state, field, params)
-    return _build_result(state, field)
+    return _build_result(state)
 
 
 def run_segmentation(img: Image, seeds, params: SnakeParams) -> SegmentationResult:

@@ -35,17 +35,12 @@ segmentation or tracking behaviour:
 
     PYTHONPATH=src python tests/test_golden_segmentation.py
 
-With --energy it rewrites only the energy fields of the recorded scenes, for
-a change that moves energies by summation order alone. It writes nothing and
-exits 1 if any other field of a scene differs from its golden or any energy
-moves by more than ENERGY_TOLERANCE:
-
-    PYTHONPATH=src python tests/test_golden_segmentation.py --energy
+Energies are exact integers on a 2^-32 grid, divided once into floats, so
+no change of summation order can move them.
 """
 
 import json
 import math
-import sys
 from pathlib import Path
 from unittest import mock
 
@@ -66,8 +61,6 @@ GOLDEN = Path(__file__).with_name("golden_segmentation.json")
 WELL_SEEDS = (2, 14, 33)
 STIFF_WELL_SEEDS = (1, 9, 25)
 RESAMPLE_SEEDS = (0, 44, 1307)
-# the largest energy move a change of summation order may make
-ENERGY_TOLERANCE = 1e-9
 
 
 def _seed(x, y):
@@ -263,53 +256,6 @@ def _runs(record):
     return record if isinstance(record, list) else [record]
 
 
-def rerecord_energies(golden, scenes):
-    """golden with each scene's energy fields taken from a new run of it.
-
-    Returns it with the largest energy move per scene. Raises ValueError,
-    listing every scene at fault, if a field other than energy differs or an
-    energy moves by more than ENERGY_TOLERANCE.
-    """
-    out, moves, faults = {}, {}, []
-    for name, old in golden.items():
-        new = scenes[name]()
-        old_runs, new_runs = _runs(old), _runs(new)
-        if ([{**r, "energy": len(r["energy"])} for r in old_runs]
-                != [{**r, "energy": len(r["energy"])} for r in new_runs]):
-            faults.append(f"{name}: a field other than energy differs")
-            continue
-        moves[name] = max(abs(a - b) for o, n in zip(old_runs, new_runs)
-                          for a, b in zip(o["energy"], n["energy"]))
-        if moves[name] > ENERGY_TOLERANCE:
-            faults.append(f"{name}: an energy moved by {moves[name]!r}")
-        out[name] = new
-    if faults:
-        raise ValueError("; ".join(faults))
-    return out, moves
-
-
-def test_rerecord_energies_rewrites_only_small_energy_moves():
-    run = {"contours": [[0, [1, 2, 3], [[0, 0], [1, 0], [1, 1]]]], "events": [],
-           "energy": [1.0, 0.5], "iterations": 1, "converged": True}
-    golden = {"one": run, "many": [run, run]}
-
-    def moved(by, **fields):
-        return lambda: {**run, "energy": [1.0, 0.5 + by], **fields}
-
-    out, moves = rerecord_energies(golden, {"one": moved(1e-12),
-                                            "many": lambda: [run, moved(2e-10)()]})
-    assert out["one"]["energy"] == [1.0, 0.5 + 1e-12]
-    assert out["many"][1]["energy"] == [1.0, 0.5 + 2e-10]
-    assert moves == pytest.approx({"one": 1e-12, "many": 2e-10})
-    with pytest.raises(ValueError, match="^one: an energy moved by"):
-        rerecord_energies(golden, {"one": moved(1e-6), "many": lambda: [run, run]})
-    with pytest.raises(ValueError, match="^one: a field other than energy differs$"):
-        rerecord_energies(golden, {"one": moved(0.0, iterations=2),
-                                   "many": lambda: [run, run]})
-    with pytest.raises(ValueError, match="other than energy"):
-        rerecord_energies({"one": run}, {"one": lambda: {**run, "energy": [1.0]}})
-
-
 @pytest.mark.parametrize("name", sorted(SCENES))
 def test_segmentation_equals_golden(name):
     golden = json.loads(GOLDEN.read_text())[name]
@@ -370,18 +316,9 @@ def test_settlement_outcomes_names_each_pattern():
 
 if __name__ == "__main__":
     golden = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
-    if sys.argv[1:] == ["--energy"]:
-        try:
-            golden, moves = rerecord_energies(golden, SCENES)
-        except ValueError as err:
-            sys.exit(f"nothing written: {err}")
-        for name, move in moves.items():
-            if move:
-                print(f"{name}: energies moved by at most {move!r}")
-    else:
-        # records only the scenes the file lacks, so recorded entries stay as they are
-        for name in SCENES:
-            if name not in golden:
-                golden[name] = SCENES[name]()
+    # records only the scenes the file lacks, so recorded entries stay as they are
+    for name in SCENES:
+        if name not in golden:
+            golden[name] = SCENES[name]()
     GOLDEN.write_text(json.dumps({name: golden[name] for name in sorted(golden)},
                                  indent=1) + "\n")

@@ -53,10 +53,16 @@ def test_image_validation():
 
 def test_scalar_field_sign_validation():
     ScalarField(values=np.zeros((3, 3)), kind=EXTERNAL_ENERGY)
+    ScalarField(values=np.full((3, 3), -1.0), kind=EXTERNAL_ENERGY)
     with pytest.raises(ValueError):
         ScalarField(values=np.full((3, 3), 0.5), kind=EXTERNAL_ENERGY)
     with pytest.raises(ValueError):
         ScalarField(values=np.full((3, 3), -0.5), kind=GRADIENT_MAGNITUDE)
+    # the contour quantizes an energy field to int64 steps of 2^-32
+    below = np.zeros((3, 3))
+    below[2, 0] = np.nextafter(-1.0, -2.0)
+    with pytest.raises(ValueError, match="^external energy must be >= -1$"):
+        ScalarField(values=below, kind=EXTERNAL_ENERGY)
     # NaN fails both sign comparisons and -inf passes the energy's, so
     # finiteness is checked on its own
     for kind in (EXTERNAL_ENERGY, GRADIENT_MAGNITUDE):
@@ -65,6 +71,19 @@ def test_scalar_field_sign_validation():
             vals[1, 2] = bad
             with pytest.raises(ValueError, match="non-finite"):
                 ScalarField(values=vals, kind=kind)
+
+
+@pytest.mark.parametrize("fill, make", [
+    (0.5, lambda v: Image(pixels=v).pixels),
+    (0.5, lambda v: ScalarField(values=v, kind=GRADIENT_MAGNITUDE).values),
+    (-0.5, lambda v: ScalarField(values=v, kind=EXTERNAL_ENERGY).values),
+], ids=["image", "gradient_magnitude", "external_energy"])
+def test_construction_leaves_the_callers_array_writable(fill, make):
+    v = np.full((3, 3), fill)
+    held = make(v)
+    v[0, 0] = 0.0
+    assert not held.flags.writeable
+    assert held[0, 0] == fill
 
 
 def test_integral_image_corner_is_total():

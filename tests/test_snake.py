@@ -53,6 +53,12 @@ def ring_state(w=40, h=40):
 
 
 FREE = SnakeParams(alpha=0.0, beta=0.0, max_spacing=0.0)
+SCALE = 2 ** 32
+
+
+def on_grid(v):
+    """v rounded half to even onto the 2^-32 energy grid, as an integer."""
+    return round(Fraction(v) * SCALE)
 
 
 def test_params_validation():
@@ -115,12 +121,12 @@ def test_init_fails_when_pixels_run_out():
 def test_internal_energy_square():
     c = Contour(id=0, agent_ids=[0, 1, 2, 3])
     pos = {0: (10, 10), 1: (14, 10), 2: (14, 14), 3: (10, 14)}
-    # four edges of length L plus four corner curvature terms of 2 L^2
-    L = 4.0
-    assert internal_energy(c, pos, 0.05, 0.0) == pytest.approx(
-        2 * 0.05 * L * L, rel=1e-12)
-    assert internal_energy(c, pos, 0.05, 0.01) == pytest.approx(
-        2 * 0.05 * L * L + 4 * 0.01 * L * L, rel=1e-12)
+    # four edges of length L plus four corner curvature terms of 2 L^2, with
+    # alpha/2 and beta/2 on the grid
+    L = 4
+    a, b = on_grid(Fraction(0.05) / 2), on_grid(Fraction(0.01) / 2)
+    assert internal_energy(c, pos, 0.05, 0.0) == a * 4 * L * L / SCALE
+    assert internal_energy(c, pos, 0.05, 0.01) == (a * 4 * L * L + b * 8 * L * L) / SCALE
 
 
 def test_internal_energy_scales_quadratically():
@@ -129,17 +135,19 @@ def test_internal_energy_scales_quadratically():
     scaled = {k: (3 * x, 3 * y) for k, (x, y) in pos.items()}
     e1 = internal_energy(c, pos, 0.07, 0.02)
     e9 = internal_energy(c, scaled, 0.07, 0.02)
-    assert e9 == pytest.approx(9.0 * e1, rel=1e-12)
+    # both are exact multiples of 2^-32 well below 2^53 steps
+    assert e9 == 9.0 * e1
 
 
 def test_external_energy_sums_agent_pixels():
     vals = np.zeros((10, 10))
     vals[2, 3] = -0.5
     vals[7, 4] = -0.25
+    vals[9, 9] = -1e-10  # under half a grid step, so it counts as 0
     field = ScalarField(values=vals, kind=EXTERNAL_ENERGY)
     c = Contour(id=0, agent_ids=[0, 1, 2])
     pos = {0: (3, 2), 1: (4, 7), 2: (9, 9)}
-    assert external_energy(c, pos, field) == pytest.approx(-0.75)
+    assert external_energy(c, pos, field) == -0.75
 
 
 def test_external_energy_rejects_wrong_field_kind():
@@ -154,7 +162,7 @@ def test_total_energy_sums_contours():
     params = SnakeParams(alpha=0.1, beta=0.02)
     pos = state.positions()
     expect = internal_energy(state.contours[0], pos, 0.1, 0.02)
-    assert total_energy(state, pos, zero_field(), params) == pytest.approx(expect)
+    assert total_energy(state, pos, zero_field(), params) == expect
 
 
 def test_propose_moves_to_unique_minimum():
@@ -193,16 +201,16 @@ def test_propose_skips_out_of_bounds():
 
 def reference_local_energy(x, y, xm2, ym2, xm1, ym1, xp1, yp1, xp2, yp2, ext, alpha, beta):
     # every energy term that contains the agent's position, written out one
-    # by one: the reference _best_move's energies must equal bit for bit
+    # by one on the grid: _best_move's energies must equal it exactly
     e1x, e1y = x - xm1, y - ym1
     e2x, e2y = xp1 - x, yp1 - y
-    e = 0.5 * alpha * (e1x * e1x + e1y * e1y + e2x * e2x + e2y * e2y)
-    c1x, c1y = x - 2.0 * xm1 + xm2, y - 2.0 * ym1 + ym2
-    c2x, c2y = xp1 - 2.0 * x + xm1, yp1 - 2.0 * y + ym1
-    c3x, c3y = xp2 - 2.0 * xp1 + x, yp2 - 2.0 * yp1 + y
-    e += 0.5 * beta * (c1x * c1x + c1y * c1y + c2x * c2x + c2y * c2y
-                       + c3x * c3x + c3y * c3y)
-    return e + ext
+    e = on_grid(Fraction(alpha) / 2) * (e1x * e1x + e1y * e1y + e2x * e2x + e2y * e2y)
+    c1x, c1y = x - 2 * xm1 + xm2, y - 2 * ym1 + ym2
+    c2x, c2y = xp1 - 2 * x + xm1, yp1 - 2 * y + ym1
+    c3x, c3y = xp2 - 2 * xp1 + x, yp2 - 2 * yp1 + y
+    e += on_grid(Fraction(beta) / 2) * (c1x * c1x + c1y * c1y + c2x * c2x + c2y * c2y
+                                        + c3x * c3x + c3y * c3y)
+    return e + on_grid(ext)
 
 
 @settings(max_examples=300)
@@ -220,9 +228,16 @@ def test_best_move_equals_termwise_scan_bitwise(key, field_seed, alpha, beta):
             e = reference_local_energy(cx, cy, *nbrs, vals[cy, cx], alpha, beta)
             if e < best_e:
                 best, best_e = (cx, cy), e
-    target, delta = snake._best_move(tuple(key), vals, 12, 12, alpha, beta)
+    values = snake._quantize(ScalarField(vals, EXTERNAL_ENERGY))
+    target, delta = snake._best_move(tuple(key), values, 12, 12,
+                                     *snake._weights(alpha, beta))
     assert target == best
     assert delta == best_e - stay
+    # the agent and its four neighbours close a cycle whose every other term
+    # omits the agent, so the delta is that cycle's whole energy difference
+    m2, m1, p1, p2 = zip(nbrs[::2], nbrs[1::2])
+    assert delta == (exact_cycle_energy([m2, m1, target, p1, p2], vals, alpha, beta)
+                     - exact_cycle_energy([m2, m1, (x, y), p1, p2], vals, alpha, beta))
 
 
 def test_split_non_adjacent_creates_two_contours():
@@ -321,22 +336,22 @@ def test_resample_respects_agent_cap():
 
 
 # ---------------------------------------------------------------------------
-# settlement and insertion deltas: exact whole-contour differences, rounded once
+# settlement and insertion deltas: exact whole-contour differences on the grid
 
 GRID = 8
 RING8 = ((1, 1), (2, 1), (3, 1), (3, 2), (3, 3), (2, 3), (1, 3), (1, 2))
 
 
 def exact_cycle_energy(pts, vals, alpha, beta):
-    """E of the closed cycle through pts as an exact Fraction."""
+    """E of the closed cycle through pts in 2^-32 grid steps, as an exact integer."""
     n = len(pts)
     elastic = bending = 0
     for k, (x, y) in enumerate(pts):
         (xp, yp), (xn, yn) = pts[k - 1], pts[(k + 1) % n]
         elastic += (xn - x) ** 2 + (yn - y) ** 2
         bending += (xp - 2 * x + xn) ** 2 + (yp - 2 * y + yn) ** 2
-    return (Fraction(alpha) / 2 * elastic + Fraction(beta) / 2 * bending
-            + sum(Fraction(vals[y, x]) for x, y in pts))
+    return (on_grid(Fraction(alpha) / 2) * elastic + on_grid(Fraction(beta) / 2) * bending
+            + sum(on_grid(vals[y, x]) for x, y in pts))
 
 
 def reference_settlement(ids, i, j, min_size):
@@ -351,7 +366,7 @@ def reference_settlement(ids, i, j, min_size):
 
 
 def energy_field(seed):
-    # values of several binades, so their denominators differ
+    # values of several binades, none of them on the grid
     rng = np.random.default_rng(seed)
     return -rng.random((GRID, GRID)) * 10.0 ** rng.integers(-3, 1, (GRID, GRID))
 
@@ -419,9 +434,9 @@ def test_settlement_delta_is_the_exact_whole_contour_difference():
 
         kept, outcome = reference_settlement(cyc, i, j, min_size)
         outcomes.add(outcome)
-        expect = float(sum(exact(arc) for arc in kept) - exact(cyc))
-        field = ScalarField(vals, EXTERNAL_ENERGY)
-        assert snake._settlement_delta(state, contour, i, j, field, params) == expect
+        expect = sum(exact(arc) for arc in kept) - exact(cyc)
+        grid = snake._grid(state, ScalarField(vals, EXTERNAL_ENERGY), params)
+        assert snake._settlement_delta(state, contour, i, j, grid, params) == expect
         # and the settlement itself keeps exactly those arcs
         split_contour(state, contour, i, j, params)
         canonical = [Contour(-1, list(arc)) for arc in kept]
@@ -452,14 +467,12 @@ def test_resample_insertions_are_exact_whole_contour_differences(
     def exact(cycle):
         return exact_cycle_energy([pos[a] for a in cycle], vals, alpha, beta)
 
-    # replay the insertions in order: each adds its exact delta, rounded once
-    energy = 0.0
+    # replay the insertions in order: none raises the energy, and the state's
+    # energy is the new contour's
     for k, aid in enumerate(inserted):
         after = [a for a in contour.agent_ids if a not in inserted[k + 1:]]
-        delta = float(exact(after) - exact([a for a in after if a != aid]))
-        assert delta <= 0.0
-        energy += delta
-    assert state.current_energy == energy
+        assert exact(after) <= exact([a for a in after if a != aid])
+    assert state.exact_energy == exact(contour.agent_ids)
     if len(state.agents) < snake.RESAMPLE_CAP_FACTOR * state.initial_agent_count:
         # every long edge left would raise the energy or has a held midpoint
         cyc = contour.agent_ids
@@ -471,9 +484,8 @@ def test_resample_insertions_are_exact_whole_contour_differences(
             if mid in pos.values():
                 continue
             pts = [pos[a] for a in cyc]
-            assert float(exact_cycle_energy(pts[:k + 1] + [mid] + pts[k + 1:], vals,
-                                            alpha, beta)
-                         - exact_cycle_energy(pts, vals, alpha, beta)) > 0.0
+            assert (exact_cycle_energy(pts[:k + 1] + [mid] + pts[k + 1:], vals, alpha, beta)
+                    > exact_cycle_energy(pts, vals, alpha, beta))
 
 
 def test_hand_built_state_never_reissues_ids():
@@ -732,7 +744,7 @@ def assert_supervisor_invariants(state, field, params, start):
     removed = sum(len(e.agent_ids) for e in state.events if e.kind == DISCARD)
     assert len(state.agents) == start + added - removed
     recomputed = total_energy(state, state.positions(), field, params)
-    assert abs(state.current_energy - recomputed) <= 1e-9
+    assert state.current_energy == recomputed
     hist = state.energy_history
     assert all(b <= a for a, b in zip(hist, hist[1:]))
     # an agent the stay memo would skip is one its scan keeps in place
@@ -741,8 +753,8 @@ def assert_supervisor_invariants(state, field, params, start):
     for aid, agent in state.agents.items():
         key = snake._visit_key(state, agent, cycle_pos[aid])
         if state.stay_memo.get(aid) == key:
-            target, _ = snake._best_move(key, field.values, state.width, state.height,
-                                         params.alpha, params.beta)
+            values, a, b = state.grid
+            target, _ = snake._best_move(key, values, state.width, state.height, a, b)
             assert target == agent.pos
 
 
