@@ -24,6 +24,9 @@ GRADIENT_MAGNITUDE = "gradient_magnitude"
 EXTERNAL_ENERGY = "external_energy"
 
 MIN_DIMENSION = 3
+# output bytes per strip of the Gaussian smoothing: about 85 rows of a
+# 384-wide frame; a frame of up to 32768 pixels, such as 96², is one strip
+STRIP_BYTES = 256 * 1024
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
@@ -135,21 +138,37 @@ def gaussian_kernel(sigma: float) -> np.ndarray:
 
 
 def _correlate_symmetric(a: np.ndarray, taps: np.ndarray, axis: int) -> np.ndarray:
-    """Correlate `a` along `axis` with an odd, symmetric kernel, edges replicated.
+    """Correlate 2-d `a` along `axis` with an odd, symmetric kernel, edges replicated.
 
     Each output starts from the centre tap times its weight and then adds
     every mirrored pair, outermost first, as (left + right) * weight. That is
     scipy.ndimage.correlate1d's summation order for a symmetric kernel in
     mode "nearest", so the results agree bit for bit.
+
+    The output is made a strip of rows at a time, about STRIP_BYTES of it
+    per strip, so that each tap's pass reads and writes memory the cache
+    still holds; one buffer of a strip's size takes every pair sum. Output
+    rows y0 .. y1 - 1 read rows y0 + k .. y1 - 1 + k of `a` padded by r rows
+    along y, and the same rows of `a` padded by r columns along x.
     """
     r = len(taps) // 2
-    n = a.shape[axis]
-    pad = [(r, r) if k == axis else (0, 0) for k in range(a.ndim)]
-    p = np.moveaxis(np.pad(a, pad, mode="edge"), axis, 0)
-    out = p[r:r + n] * taps[r]
-    for k in range(r):
-        out += (p[k:k + n] + p[2 * r - k:2 * r - k + n]) * taps[k]
-    return np.moveaxis(out, 0, axis)
+    h, w = a.shape
+    pad = ((r, r), (0, 0)) if axis == 0 else ((0, 0), (r, r))
+    p = np.pad(a, pad, mode="edge")
+    out = np.empty((h, w))
+    rows = max(STRIP_BYTES // (out.itemsize * w), 1)
+    pair = np.empty((min(rows, h), w), dtype=out.dtype)
+    for y0 in range(0, h, rows):
+        y1 = min(y0 + rows, h)
+        tap = ([p[y0 + k:y1 + k] for k in range(2 * r + 1)] if axis == 0
+               else [p[y0:y1, k:k + w] for k in range(2 * r + 1)])
+        o, t = out[y0:y1], pair[:y1 - y0]
+        np.multiply(tap[r], taps[r], out=o)
+        for k in range(r):
+            np.add(tap[k], tap[2 * r - k], out=t)
+            np.multiply(t, taps[k], out=t)
+            np.add(o, t, out=o)
+    return out
 
 
 def gaussian_smooth(img: Image, sigma: float) -> Image:

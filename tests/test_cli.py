@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from snaketrack import netpbm, synth
-from snaketrack.cli import RunConfig, main, parse_config
+from snaketrack.cli import EXIT_CONFIG, RunConfig, main, parse_config
 from snaketrack.errors import ConfigError, TrackingLostError
 from snaketrack.snake import SnakeParams
 from snaketrack.surf import DetectorParams
@@ -253,10 +253,13 @@ def test_run_empty_input_dir(tmp_path, capsys):
 def test_run_bad_parameter_value(tmp_path, capsys):
     make_frames(tmp_path)
     for key, value, message in (("alpha", -1.0, "alpha and beta must be >= 0"),
+                                # a half-weight past 2^62 grid steps
+                                ("alpha", 1e300, "alpha must be <= 2**31, got 1e+300"),
+                                ("beta", 1e300, "beta must be <= 2**31, got 1e+300"),
                                 ("sigma", -1, "sigma must be >= 0"),
                                 ("ratio", 2, "ratio must lie in (0, 1]")):
         cfg = full_config(tmp_path, **{key: value})
-        assert main(["run", "--config", str(cfg)]) == 1
+        assert main(["run", "--config", str(cfg)]) == EXIT_CONFIG
         assert capsys.readouterr().err == f"error: bad parameter: {message}\n"
         assert not (tmp_path / "out").exists()
 

@@ -1,11 +1,13 @@
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from snaketrack import image, synth
 from snaketrack.errors import SizeError
 from snaketrack.image import (
     EXTERNAL_ENERGY,
@@ -252,6 +254,14 @@ def test_smooth_stays_in_input_range():
     assert out.pixels.max() <= img.pixels.max() + 1e-15
 
 
+def scipy_smooth(px, sigma):
+    ndimage = pytest.importorskip("scipy.ndimage")
+    kernel = gaussian_kernel(sigma)
+    ref = ndimage.correlate1d(px, kernel, axis=1, mode="nearest")
+    ref = ndimage.correlate1d(ref, kernel, axis=0, mode="nearest")
+    return np.clip(ref, px.min(), px.max())
+
+
 # below about 1e-154 gaussian_kernel's 2 * sigma * sigma overflows the
 # divide, and below about 1e-162 it underflows to 0 and the taps are NaN,
 # which no summation order can agree on
@@ -260,15 +270,35 @@ def test_smooth_stays_in_input_range():
 @given(h=st.integers(3, 40), w=st.integers(3, 40), seed=st.integers(0, 2**32 - 1),
        sigma=st.floats(0.0, 8.0, exclude_min=True))
 def test_smooth_equals_scipy_correlate1d_bitwise(h, w, seed, sigma):
-    ndimage = pytest.importorskip("scipy.ndimage")
-    kernel = gaussian_kernel(sigma)
-    assume(np.isfinite(kernel).all())
+    assume(np.isfinite(gaussian_kernel(sigma)).all())
     px = np.random.default_rng(seed).random((h, w))
-    ref = ndimage.correlate1d(px, kernel, axis=1, mode="nearest")
-    ref = ndimage.correlate1d(ref, kernel, axis=0, mode="nearest")
-    np.clip(ref, px.min(), px.max(), out=ref)
+    ref = scipy_smooth(px, sigma)
     out = gaussian_smooth(Image(pixels=px), sigma).pixels
     assert np.array_equal(out.view(np.uint64), ref.view(np.uint64))
+
+
+@settings(max_examples=200)
+@given(h=st.integers(3, 40), w=st.integers(3, 40), seed=st.integers(0, 2**32 - 1),
+       sigma=st.sampled_from((0.3, 1.0, 2.0, 4.0)), rows=st.integers(1, 6),
+       slack=st.integers(0, 7))
+def test_smooth_in_strips_equals_scipy_correlate1d_bitwise(h, w, seed, sigma, rows, slack):
+    # strips of a few rows, so both passes cross strip boundaries; a strip
+    # budget below one row still makes strips of one row
+    px = np.random.default_rng(seed).random((h, w))
+    with mock.patch.object(image, "STRIP_BYTES", max(rows * 8 * w - slack, 1)):
+        out = gaussian_smooth(Image(pixels=px), sigma).pixels
+    ref = scipy_smooth(px, sigma)
+    assert np.array_equal(out.view(np.uint64), ref.view(np.uint64))
+
+
+def test_smooth_of_a_large_frame_in_strips_equals_scipy_bitwise():
+    # at the shipped strip size a 384-wide frame takes strips of 85 rows
+    px = synth.disk_image(384, 384) * np.random.default_rng(384).random((384, 384))
+    assert image.STRIP_BYTES // (8 * 384) < 384
+    for sigma in (1.0, 4.0):
+        out = gaussian_smooth(Image(pixels=px), sigma).pixels
+        ref = scipy_smooth(px, sigma)
+        assert np.array_equal(out.view(np.uint64), ref.view(np.uint64))
 
 
 def test_smooth_names_a_sigma_too_small_for_finite_taps():

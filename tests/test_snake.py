@@ -72,6 +72,12 @@ def test_params_validation():
         for value in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match=f"^{name} must be finite"):
                 SnakeParams(**{name: value})
+    # a half-weight of 2^31 * 2^31 = 2^62 grid steps is the largest the scans accept
+    for name in ("alpha", "beta"):
+        assert getattr(SnakeParams(**{name: 2.0 ** 31}), name) == 2.0 ** 31
+        for value in (math.nextafter(2.0 ** 31, math.inf), 1e300):
+            with pytest.raises(ValueError, match=f"^{name} must be <= 2\\*\\*31"):
+                SnakeParams(**{name: value})
 
 
 def test_init_orders_agents_by_angle():
@@ -718,6 +724,104 @@ def test_resume_discards_undersized_carried_contour():
     assert any(e.kind == DISCARD for e in result.events)
     # a run with no agent left has nothing more to do
     assert result.converged
+
+
+def test_resumed_converged_ring_scans_no_agent():
+    # the golden rings_sigma4 scene: a ring of 194 agents converged at
+    # sigma 4 and resumed on its own frame; the array scan refills the stay
+    # memo, so the one sweep visits every agent without a _best_move call
+    size = 128
+    img = Image(pixels=synth.disk_image(size, size))
+    r = synth.DISK_RADIUS_FRACTION * size + 8.0
+    n = round(2.0 * math.pi * r / 1.5)
+    ring = []
+    for k in range(n):
+        p = (math.floor(size / 2 + r * math.cos(2.0 * math.pi * k / n)),
+             math.floor(size / 2 + r * math.sin(2.0 * math.pi * k / n)))
+        if p not in ring[-1:]:
+            ring.append(p)
+    params = SnakeParams(sigma=4.0)
+    settled = resume_segmentation(
+        img, [ContourResult(0, tuple(range(len(ring))), tuple(ring))], params)
+    assert [len(c.points) for c in settled.contours] == [194]
+    assert 194 >= snake.ARRAY_SCAN_MIN_AGENTS
+    scans = []
+    best_move = snake._best_move
+
+    def counting(*args):
+        scans.append(args)
+        return best_move(*args)
+
+    with mock.patch.object(snake, "_best_move", counting):
+        result = resume_segmentation(img, settled.contours, params)
+    assert scans == []
+    assert result.contours == settled.contours
+    assert [e.kind for e in result.events] == [CONVERGED]
+
+
+def frame_coordinate(size):
+    """A coordinate in [0, size), drawn on either edge one time in three each."""
+    return st.one_of(st.just(0), st.just(size - 1), st.integers(0, size - 1))
+
+
+@st.composite
+def scan_states(draw):
+    """A state of 1-4 contours of 3-8 agents on a 3-12 px frame, and a grid."""
+    w, h = draw(st.integers(3, 12)), draw(st.integers(3, 12))
+    contours, agents = {}, {}
+    for cid in range(draw(st.integers(1, 4))):
+        n = draw(st.sampled_from((3, 4, 5, 8)))
+        ids = list(range(len(agents), len(agents) + n))
+        for aid in ids:
+            agents[aid] = ExplorerAgent(id=aid, x=draw(frame_coordinate(w)),
+                                        y=draw(frame_coordinate(h)), contour_id=cid)
+        contours[cid] = Contour(id=cid, agent_ids=ids)
+    vals = draw(st.lists(st.one_of(st.just(0.0), st.just(-1.0), st.floats(-1.0, 0.0)),
+                         min_size=w * h, max_size=w * h))
+    # every binade up to the bound, where the overflow guard trips at all scales
+    weight = st.one_of(st.sampled_from((0.0, 2.0 ** -33, 0.01, 0.05, 1.0, 2.0 ** 31)),
+                       st.builds(lambda e, m: min(m * 2.0 ** e, 2.0 ** 31),
+                                 st.integers(-34, 30), st.floats(1.0, 2.0)))
+    state = SupervisorState(width=w, height=h, contours=contours, agents=agents)
+    field = ScalarField(np.array(vals).reshape(h, w), EXTERNAL_ENERGY)
+    return state, (snake._quantize(field), *snake._weights(draw(weight), draw(weight)))
+
+
+def zero_scan_state(pixels, alpha):
+    """One contour through pixels of a zero 3 x 3 field, with beta 0."""
+    agents = {aid: ExplorerAgent(id=aid, x=x, y=y, contour_id=0)
+              for aid, (x, y) in enumerate(pixels)}
+    state = SupervisorState(width=3, height=3, agents=agents,
+                            contours={0: Contour(0, list(agents))})
+    return state, (np.zeros((3, 3), dtype=np.int64), *snake._weights(alpha, 0.0))
+
+
+@settings(max_examples=300)
+@given(case=scan_states())
+# three agents on one pixel have g = h = 0: a = 2^60 - 2^30 puts the bound
+# exactly at 2^62, where the guard trips, and one step of alpha below it
+# every agent stays
+@example(case=zero_scan_state([(1, 1)] * 3, 2.0 ** 29 - 0.5))
+@example(case=zero_scan_state([(1, 1)] * 3, 2.0 ** 29 - 1.0))
+# the middle agent of a line stays, and the ends' |g| = 6 trips the guard at
+# a = 2^58, where a (|gx| + |gy| + 4) would still fit
+@example(case=zero_scan_state([(0, 1), (1, 1), (2, 1)], 2.0 ** 27))
+def test_array_scan_stays_where_the_scalar_scan_stays(case):
+    state, grid = case
+    values, a, b = grid
+    stays, bound_g, bound_h = {}, 0, 0
+    for contour in state.contours.values():
+        for k, aid in enumerate(contour.agent_ids):
+            key = snake._visit_key(state, state.agents[aid], k)
+            target, _ = snake._best_move(key, values, state.width, state.height, a, b)
+            if target == key[:2]:
+                stays[aid] = key
+            for v, m2, m1, p1, p2 in (key[0::2], key[1::2]):
+                bound_g = max(bound_g, abs(2 * (2 * v - m1 - p1)))
+                bound_h = max(bound_h, abs(2 * (m2 - 4 * m1 + 6 * v - 4 * p1 + p2)))
+    # the bound on every energy change past which int64 could overflow
+    guard = a * (2 * bound_g + 4) + b * (2 * bound_h + 12) + SCALE >= 2 ** 62
+    assert snake._stay_keys(state, grid) == ({} if guard else stays)
 
 
 # ---------------------------------------------------------------------------
