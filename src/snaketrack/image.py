@@ -229,19 +229,21 @@ def box_sum_grid(padded: np.ndarray, width: int, height: int, x0, y0, x1, y1):
     Rectangles are clamped to the image; a rectangle that is empty after
     clamping contributes 0. `padded` is IntegralImage.padded.
 
-    `box_sum` is the scalar case and `box_sum_slices` the dense-grid case:
-    same clamping rule, same four terms in the same order, so all three give
-    bitwise-equal results.
+    `box_sum` is its scalar case and calls it. `box_sum_slices`, the
+    dense-grid case, applies the same clamping rule and sums the same four
+    terms in the same order, so the two give bitwise-equal results.
     """
     x0c = np.maximum(x0, 0)
     y0c = np.maximum(y0, 0)
     x1c = np.minimum(x1, width - 1)
     y1c = np.minimum(y1, height - 1)
     valid = (x0c <= x1c) & (y0c <= y1c)
-    x0i = np.clip(x0c, 0, width - 1)
-    y0i = np.clip(y0c, 0, height - 1)
-    x1i = np.clip(x1c, -1, width - 1) + 1
-    y1i = np.clip(y1c, -1, height - 1) + 1
+    # table indices kept in range for empty boxes too (np.minimum and
+    # np.maximum rather than np.clip, which costs several times more on scalars)
+    x0i = np.minimum(x0c, width - 1)
+    y0i = np.minimum(y0c, height - 1)
+    x1i = np.maximum(x1c, -1) + 1
+    y1i = np.maximum(y1c, -1) + 1
     total = (padded[y1i, x1i] - padded[y0i, x1i]
              - padded[y1i, x0i] + padded[y0i, x0i])
     return np.where(valid, total, 0.0)
@@ -313,13 +315,7 @@ def _nonempty_run(size: int, step: int, d0: int, d1: int) -> tuple[int, int]:
 def box_sum(ii: IntegralImage, x0: int, y0: int, x1: int, y1: int) -> float:
     """Sum of pixels over the inclusive rectangle [x0, x1] x [y0, y1].
 
-    The rectangle is clamped to the image bounds; four table lookups total.
+    The scalar case of `box_sum_grid`: the rectangle is clamped to the image
+    bounds, and one that is empty after clamping sums to 0.0.
     """
-    x0 = max(x0, 0)
-    y0 = max(y0, 0)
-    x1 = min(x1, ii.width - 1)
-    y1 = min(y1, ii.height - 1)
-    if x0 > x1 or y0 > y1:
-        return 0.0
-    p = ii.padded
-    return float(p[y1 + 1, x1 + 1] - p[y0, x1 + 1] - p[y1 + 1, x0] + p[y0, x0])
+    return float(box_sum_grid(ii.padded, ii.width, ii.height, x0, y0, x1, y1))

@@ -25,9 +25,9 @@ keeps the recorded energy history non-increasing by construction.
 Between moves no two agents of one contour share a pixel: init_agents places
 distinct pixels, a move onto a contour-mate is settled with it, a merge or
 split leaves distinct pixels, and resampling skips midpoints the contour
-already holds. The one exception is resume_segmentation, whose clamping of
-carried points into the frame can make contour-mates coincide; it settles
-those before the first sweep.
+already holds. The one exception is resume_segmentation, whose rounding and
+clamping of carried points into the frame can make contour-mates coincide;
+it settles those before the first sweep.
 
 Optional resampling inserts a midpoint agent into any cyclic edge longer
 than max_spacing, gated by the same non-increase rule and capped at 4x the
@@ -49,15 +49,14 @@ with the same ten integers stays without scanning. A move rejected as a
 collision is not remembered: its settlement energy depends on the other
 colliding agent's neighbourhood and on any arc the settlement drops, and the
 ten integers hold neither. The memo is dropped with a new basis (another
-field, alpha, beta or frame size). When the state then holds at least
-ARRAY_SCAN_MIN_AGENTS agents, the memo is refilled at once from one int64
+field, alpha, beta or frame size) and refilled at once from one int64
 array scan of every agent (_stay_keys): it enters each agent none of whose
 in-bounds neighbours is strictly lower, with its ten integers, which is
-exactly where _best_move stays. Below that count the scan's fixed cost
-exceeds the scans it spares. The scan is skipped when a bound on its energy
-changes reaches 2^62, where int64 could overflow; an empty memo only costs
-scans. The sweep's walk is unchanged: an agent whose ten integers changed
-earlier in the sweep misses the memo and is scanned as before.
+exactly where _best_move stays, since both scans price a move with the same
+slopes (_slopes). The scan is skipped when a bound on its energy changes
+reaches 2^62, where int64 could overflow; an empty memo only costs scans.
+The sweep's walk is unchanged: an agent whose ten integers changed earlier
+in the sweep misses the memo and is scanned as before.
 
 A settlement or an insertion changes only the terms of E at its seams and
 the terms of the agents it adds or removes, so its energy change is computed
@@ -99,13 +98,6 @@ CONVERGED = "converged"
 LOW_CONFIDENCE_FACTOR = 0.1
 RESAMPLE_CAP_FACTOR = 4
 ENERGY_SCALE = 1 << 32  # energies are integers in steps of 1 / ENERGY_SCALE
-# fewest agents for which a new basis refills the stay memo from one array
-# scan (_stay_keys). Measured crossover (2-core Xeon, numpy 2.4): the scan
-# costs about 0.11 ms plus 0.55 us per agent and spares a 5.5 us _best_move
-# call per agent that stays, so it pays from about 22 agents when all stay
-# and about 50 when half do, as in a resumed 32-agent track-square96 frame
-# (17 of 32 on average)
-ARRAY_SCAN_MIN_AGENTS = 64
 
 
 def _iround(v: float) -> int:
@@ -304,8 +296,7 @@ def total_energy(state: SupervisorState, positions: Mapping[int, tuple[int, int]
 def _grid(state: SupervisorState, field: ScalarField, params: SnakeParams) -> tuple:
     """The state's grid, with the exact energy on it, made once per basis.
 
-    A new basis also refills the stay memo, from one array scan of every
-    agent once there are ARRAY_SCAN_MIN_AGENTS of them.
+    A new basis also refills the stay memo from one array scan of every agent.
     """
     basis = (field, params.alpha, params.beta, state.width, state.height)
     if basis != state.basis:
@@ -313,8 +304,7 @@ def _grid(state: SupervisorState, field: ScalarField, params: SnakeParams) -> tu
         state.grid = (_quantize(field), *_weights(params.alpha, params.beta))
         cycles = _cycles(state.contours.values(), state.positions())
         state.exact_energy = _energy(*cycles, state.grid)
-        state.stay_memo = ({} if len(state.agents) < ARRAY_SCAN_MIN_AGENTS
-                           else _stay_keys(state, state.grid))
+        state.stay_memo = _stay_keys(state, state.grid)
     return state.grid
 
 
@@ -334,56 +324,51 @@ def _visit_key(state: SupervisorState, agent: ExplorerAgent, k: int):
     return (agent.x, agent.y, am2.x, am2.y, am1.x, am1.y, ap1.x, ap1.y, ap2.x, ap2.y)
 
 
-def _axis_sums(v: int, m2: int, m1: int, p1: int, p2: int):
-    """One axis's elastic and bending sums for the agent at v - 1, v and v + 1.
+def _slopes(v, m2, m1, p1, p2):
+    """One axis's slopes g and h of the elastic and bending sums at an agent.
 
     The elastic sum holds the squared edge lengths to both cyclic
     neighbours, the bending sum the squared second differences centred at
-    the agent and at its two neighbours. Moving the agent by t changes them
-    by 2t(d - f) + 2t^2 and 2t(b1 - 2 b2 + b3) + 6t^2.
+    the agent and at its two neighbours. Moving the agent by t along the
+    axis changes them by t g + 2 t^2 and t h + 6 t^2. The arguments are the
+    agent's coordinate v and its neighbours' at -2, -1, +1 and +2, as Python
+    ints or as int64 arrays.
     """
-    d = v - m1
-    f = p1 - v
-    b1 = v - 2 * m1 + m2
-    b2 = p1 - 2 * v + m1
-    b3 = p2 - 2 * p1 + v
-    e0 = d * d + f * f
-    g = 2 * (d - f)
-    c0 = b1 * b1 + b2 * b2 + b3 * b3
-    h = 2 * (b1 - 2 * b2 + b3)
-    return (e0 - g + 2, e0, e0 + g + 2), (c0 - h + 6, c0, c0 + h + 6)
+    return 2 * (2 * v - m1 - p1), 2 * (m2 - 4 * m1 + 6 * v - 4 * p1 + p2)
 
 
 def _best_move(key: tuple[int, ...], values: np.ndarray, width: int, height: int,
                a: int, b: int) -> tuple[tuple[int, int], int]:
-    """The greedy scan: its chosen pixel and the exact local energy change to it.
+    """The greedy scan: its chosen pixel and the exact energy change to it.
 
     key is _visit_key's ten integers; values, a and b are the quantized field
-    and weights. A candidate's local energy holds every term of E that
-    contains the agent's position:
+    and weights. A candidate (x + dx, y + dy) changes E against staying by
 
-        a * elastic + b * bending + values[y, x]
+        a (2 dx^2 + dx gx + 2 dy^2 + dy gy) + b (6 dx^2 + dx hx + 6 dy^2 + dy hy)
+            + values[y + dy, x + dx] - values[y, x]
 
-    Staying put is the first candidate and always in bounds, so its energy
-    is the baseline of the change.
+    with (gx, hx) and (gy, hy) the _slopes of each axis. Staying put is the
+    first candidate, with change 0, and always in bounds.
     """
     x, y, xm2, ym2, xm1, ym1, xp1, yp1, xp2, yp2 = key
-    ex, bx = _axis_sums(x, xm2, xm1, xp1, xp2)
-    ey, by = _axis_sums(y, ym2, ym1, yp1, yp2)
+    gx, hx = _slopes(x, xm2, xm1, xp1, xp2)
+    gy, hy = _slopes(y, ym2, ym1, yp1, yp2)
+    # the internal change of a step by -1, 0 or +1 along each axis
+    ux = (a * (2 - gx) + b * (6 - hx), 0, a * (2 + gx) + b * (6 + hx))
+    uy = (a * (2 - gy) + b * (6 - hy), 0, a * (2 + gy) + b * (6 + hy))
     at = values.item
-    best = (x, y)
-    stay_e = best_e = a * (ex[1] + ey[1]) + b * (bx[1] + by[1]) + at(y, x)
+    here = at(y, x)
+    best, best_d = (x, y), 0
     for dx, dy in NEIGHBOR_SCAN[1:]:
         cx = x + dx
         cy = y + dy
         if not (0 <= cx < width and 0 <= cy < height):
             continue
-        e = (a * (ex[dx + 1] + ey[dy + 1]) + b * (bx[dx + 1] + by[dy + 1])
-             + at(cy, cx))
-        if e < best_e:
-            best_e = e
+        d = ux[dx + 1] + uy[dy + 1] + at(cy, cx) - here
+        if d < best_d:
+            best_d = d
             best = (cx, cy)
-    return best, best_e - stay_e
+    return best, best_d
 
 
 def _stay_keys(state: SupervisorState, grid: tuple) -> dict[int, tuple[int, ...]]:
@@ -391,19 +376,17 @@ def _stay_keys(state: SupervisorState, grid: tuple) -> dict[int, tuple[int, ...]
 
     It evaluates for all agents at once, in int64, what _best_move evaluates
     for one: each in-bounds neighbour's exact energy change against staying,
-
-        a * dE + b * dB + values[cy, cx] - values[y, x],
-
-    where a move by t along an axis changes that axis's elastic and bending
-    sums by t g + 2 t^2 and t h + 6 t^2 (_axis_sums, with g = 2 (2 v - m1 - p1)
-    and h = 2 (m2 - 4 m1 + 6 v - 4 p1 + p2)). An agent whose every change is
-    >= 0 stays under _best_move's strict-first-minimum rule and is entered
-    with its _visit_key. When a (2 max|g| + 4) + b (2 max|h| + 12) + ENERGY_SCALE,
-    a bound on every change, reaches 2^62 the memo is left empty: int64 could
-    overflow, and an empty memo only costs scans.
+    from the same _slopes. An agent whose every change is >= 0 stays under
+    _best_move's strict-first-minimum rule and is entered with its
+    _visit_key. When a (2 max|g| + 4) + b (2 max|h| + 12) + ENERGY_SCALE, a
+    bound on every change, reaches 2^62 the memo is left empty: int64 could
+    overflow, and an empty memo only costs scans. A state with no agent has
+    an empty memo.
     """
     values, a, b = grid
     order = [aid for c in state.contours.values() for aid in c.agent_ids]
+    if not order:
+        return {}
     placed = [state.agents[aid] for aid in order]
     v = np.array([[p.x for p in placed], [p.y for p in placed]], dtype=np.int64)
     # each agent's cyclic predecessor and successor in the concatenated cycles
@@ -415,8 +398,7 @@ def _stay_keys(state: SupervisorState, grid: tuple) -> dict[int, tuple[int, ...]
     after = np.arange(1, len(order) + 1)
     after[ends - 1] = starts
     m2, m1, p1, p2 = (v[:, i] for i in (before[before], before, after, after[after]))
-    g = 2 * (2 * v - m1 - p1)
-    h = 2 * (m2 - 4 * m1 + 6 * v - 4 * p1 + p2)
+    g, h = _slopes(v, m2, m1, p1, p2)
     if (a * (2 * int(abs(g).max()) + 4) + b * (2 * int(abs(h).max()) + 12)
             + ENERGY_SCALE >= 1 << 62):
         return {}
@@ -560,10 +542,7 @@ def split_contour(state: SupervisorState, contour: Contour, i: int, j: int,
     kept, dropped = ([(ids[start:] + ids[:start])[:length] for start, length in arcs]
                      for arcs in (kept, dropped))
     if merged is not None:
-        merged = ids.pop(merged)
-        events = [Event(state.iteration, DISCARD, contour_ids=(contour.id,),
-                        agent_ids=(merged,))]
-        del state.agents[merged]
+        events = [_discard(state, contour.id, [ids.pop(merged)])]
         contour.canonicalize()
         if dropped:
             events.append(_drop_contour(state, contour))
@@ -580,23 +559,22 @@ def split_contour(state: SupervisorState, contour: Contour, i: int, j: int,
             new_ids.append(cid)
         events = [Event(state.iteration, SPLIT, contour_ids=(contour.id, *new_ids),
                         agent_ids=(ids[i], ids[j]))]
-        for arc in dropped:
-            for aid in arc:
-                del state.agents[aid]
-            events.append(Event(state.iteration, DISCARD,
-                                contour_ids=(contour.id,), agent_ids=tuple(arc)))
+        events += [_discard(state, contour.id, arc) for arc in dropped]
     state.events.extend(events)
     return events
 
 
+def _discard(state: SupervisorState, cid: int, aids) -> Event:
+    """Delete the agents aids of contour cid; returns the DISCARD event naming them."""
+    for aid in aids:
+        del state.agents[aid]
+    return Event(state.iteration, DISCARD, contour_ids=(cid,), agent_ids=tuple(aids))
+
+
 def _drop_contour(state: SupervisorState, contour: Contour) -> Event:
     """Delete a contour with its agents; returns the DISCARD event naming them."""
-    remaining = tuple(contour.agent_ids)
-    for aid in remaining:
-        del state.agents[aid]
     del state.contours[contour.id]
-    return Event(state.iteration, DISCARD, contour_ids=(contour.id,),
-                 agent_ids=remaining)
+    return _discard(state, contour.id, contour.agent_ids)
 
 
 def _index_contour(contour: Contour, agents: Mapping[int, ExplorerAgent],
@@ -727,7 +705,7 @@ def _find_coincidence(state: SupervisorState, contour: Contour):
 
 
 def _settle_clamped_coincidences(state: SupervisorState, params: SnakeParams) -> None:
-    """Settle every same-contour coincidence that clamping at resume made."""
+    """Settle every same-contour coincidence that resume's rounding and clamping made."""
     progress = True
     while progress:
         progress = False
@@ -839,11 +817,13 @@ def resume_segmentation(img: Image, carried, params: SnakeParams) -> Segmentatio
     """Re-converge carried-over contours on a new frame.
 
     `carried` is a sequence of (contour id, agent ids, points) records, for
-    example ContourResults whose points were shifted by a tracking offset and
-    clamped into bounds. Contour and agent ids are preserved. Coincidences
-    introduced by clamping are settled before the energy history starts;
-    contours that fall below min_contour_size are discarded. The result may
-    contain no contours, which callers should treat as tracking lost.
+    example ContourResults whose points were shifted by a tracking offset.
+    Each point is rounded half up to a pixel, as init_agents rounds seeds,
+    and clamped into the frame. Contour and agent
+    ids are preserved. Coincidences introduced by rounding and clamping are
+    settled before the energy history starts; contours that fall below
+    min_contour_size are discarded. The result may contain no contours,
+    which callers should treat as tracking lost.
 
     Raises ValueError, naming the record, when a record's agent ids and
     points differ in number, when an agent id or contour id appears twice or
@@ -867,13 +847,13 @@ def resume_segmentation(img: Image, carried, params: SnakeParams) -> Segmentatio
                 raise ValueError(f"{where}: agent id {aid} appears twice")
             if not (math.isfinite(x) and math.isfinite(y)):
                 raise ValueError(f"{where}: point {i} ({x}, {y}) is not finite")
-            x = min(max(int(x), 0), img.width - 1)
-            y = min(max(int(y), 0), img.height - 1)
+            x = min(max(_iround(x), 0), img.width - 1)
+            y = min(max(_iround(y), 0), img.height - 1)
             agents[aid] = ExplorerAgent(id=aid, x=x, y=y, contour_id=rec.id)
     state = SupervisorState(width=img.width, height=img.height, contours=contours,
                             agents=agents, initial_agent_count=max(len(agents), 1))
-    # settle clamp-induced coincidences and undersized contours up front so
-    # the recorded energy history starts from a clean state
+    # settle coincidences and undersized contours up front so the recorded
+    # energy history starts from a clean state
     _settle_clamped_coincidences(state, params)
     for cid in sorted(state.contours):
         contour = state.contours[cid]

@@ -640,6 +640,17 @@ def test_resume_preserves_ids_and_clamps():
     assert all(b <= a for a, b in zip(hist, hist[1:]))
 
 
+def test_resume_rounds_float_points_half_up():
+    # carried points are rounded like init_agents' seeds, not truncated; on
+    # a flat frame with no internal weights every agent stays where it lands
+    img = Image(pixels=np.full((32, 32), 0.5))
+    carried = [ContourResult(id=0, agent_ids=(0, 1, 2, 3),
+                             points=((10.9, 5.0), (20.0, 5.6),
+                                     (20.0, 20.0), (10.0, 20.0)))]
+    result = resume_segmentation(img, carried, FREE)
+    assert result.contours[0].points == ((11, 5), (20, 6), (20, 20), (10, 20))
+
+
 @pytest.mark.parametrize("carried, named", [
     # five agent ids but four points
     ([ContourResult(id=0, agent_ids=(0, 1, 2, 3, 4),
@@ -726,10 +737,8 @@ def test_resume_discards_undersized_carried_contour():
     assert result.converged
 
 
-def test_resumed_converged_ring_scans_no_agent():
-    # the golden rings_sigma4 scene: a ring of 194 agents converged at
-    # sigma 4 and resumed on its own frame; the array scan refills the stay
-    # memo, so the one sweep visits every agent without a _best_move call
+def converged_ring_194():
+    """The golden rings_sigma4 scene: a ring of 194 agents converged at sigma 4."""
     size = 128
     img = Image(pixels=synth.disk_image(size, size))
     r = synth.DISK_RADIUS_FRACTION * size + 8.0
@@ -744,19 +753,39 @@ def test_resumed_converged_ring_scans_no_agent():
     settled = resume_segmentation(
         img, [ContourResult(0, tuple(range(len(ring))), tuple(ring))], params)
     assert [len(c.points) for c in settled.contours] == [194]
-    assert 194 >= snake.ARRAY_SCAN_MIN_AGENTS
-    scans = []
+    return img, settled, params
+
+
+def converged_disk_32():
+    """Criterion 4's 128 x 128 disk segmented from its keypoints: 32 agents."""
+    img = Image(pixels=synth.disk_image(128, 128))
+    ii = integral_image(img)
+    kps = detect_keypoints(ii, DetectorParams())
+    describe_keypoints(ii, kps)
+    params = SnakeParams()
+    settled = run_segmentation(img, select_extremity_points(kps, 128, 128).points, params)
+    assert settled.converged
+    assert sum(len(c.points) for c in settled.contours) == 32
+    return img, settled, params
+
+
+def test_resumed_converged_ring_scans_no_agent():
+    # a converged run resumed on its own frame: the array scan refills the
+    # stay memo, so the one sweep visits every agent without a _best_move
+    # call, however few agents there are
     best_move = snake._best_move
+    for img, settled, params in (converged_ring_194(), converged_disk_32()):
+        scans = []
 
-    def counting(*args):
-        scans.append(args)
-        return best_move(*args)
+        def counting(*args):
+            scans.append(args)
+            return best_move(*args)
 
-    with mock.patch.object(snake, "_best_move", counting):
-        result = resume_segmentation(img, settled.contours, params)
-    assert scans == []
-    assert result.contours == settled.contours
-    assert [e.kind for e in result.events] == [CONVERGED]
+        with mock.patch.object(snake, "_best_move", counting):
+            result = resume_segmentation(img, settled.contours, params)
+        assert scans == []
+        assert result.contours == settled.contours
+        assert [e.kind for e in result.events] == [CONVERGED]
 
 
 def frame_coordinate(size):
@@ -766,10 +795,10 @@ def frame_coordinate(size):
 
 @st.composite
 def scan_states(draw):
-    """A state of 1-4 contours of 3-8 agents on a 3-12 px frame, and a grid."""
+    """A state of 0-4 contours of 3-8 agents on a 3-12 px frame, and a grid."""
     w, h = draw(st.integers(3, 12)), draw(st.integers(3, 12))
     contours, agents = {}, {}
-    for cid in range(draw(st.integers(1, 4))):
+    for cid in range(draw(st.integers(0, 4))):
         n = draw(st.sampled_from((3, 4, 5, 8)))
         ids = list(range(len(agents), len(agents) + n))
         for aid in ids:
@@ -806,6 +835,9 @@ def zero_scan_state(pixels, alpha):
 # the middle agent of a line stays, and the ends' |g| = 6 trips the guard at
 # a = 2^58, where a (|gx| + |gy| + 4) would still fit
 @example(case=zero_scan_state([(0, 1), (1, 1), (2, 1)], 2.0 ** 27))
+# a state with no agent, as resume leaves when it discards every contour
+@example(case=(SupervisorState(width=3, height=3),
+               (np.zeros((3, 3), dtype=np.int64), 0, 0)))
 def test_array_scan_stays_where_the_scalar_scan_stays(case):
     state, grid = case
     values, a, b = grid
